@@ -193,6 +193,8 @@ def _cmd_ldp(args) -> int:
         return 0
     if args.ldp_command == "bemech":
         payload = _read_json_arg(args.pair, args.pair_file, "a pair")
+        if not isinstance(payload, dict):
+            raise ValidationError('pair must be a JSON object with "p0" and "p1" keys')
         pair = DiscretePair(np.asarray(payload["p0"]), np.asarray(payload["p1"]))
         _emit_json(binary_erasure_mechanism(pair, args.eps, args.eta).as_dict())
         return 0
@@ -211,6 +213,10 @@ def _cmd_ldp(args) -> int:
 
 
 def _cmd_sgd(args) -> int:
+    if not (args.eps_step > 0.0 and math.isfinite(args.eps_step)):
+        raise ValidationError("--eps-step must be positive and finite")
+    if not (math.isfinite(args.eps_from) and math.isfinite(args.eps_to)):
+        raise ValidationError("--eps-from and --eps-to must be finite")
     count = int(round((args.eps_to - args.eps_from) / args.eps_step)) + 1
     grid = tuple(
         round(args.eps_from + i * args.eps_step, 12) for i in range(max(count, 1))
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compose.add_argument("-k", type=int, required=True, help="number of compositions")
     p_compose.add_argument("--baseline", choices=["kairouz"], default=None, help="ignore eta and use the TV-blind baseline")
     p_compose.add_argument("--mode", choices=["exact", "types"], default="exact")
-    p_compose.add_argument("--tol", type=float, default=1e-6, help="relative tolerance for --mode types")
+    p_compose.add_argument("--tol", type=float, default=1e-6, help="must be positive; kept for compatibility, --mode types is exact")
     p_compose.add_argument("--out", choices=["json", "csv"], default="json")
     p_compose.set_defaults(func=_cmd_compose)
 

@@ -1,11 +1,13 @@
 """Exact k-fold composition under joint (epsilon, delta, eta) constraints.
 
 The composed guarantee is a family of (j*eps, delta'_j) statements for
-j = 0..k plus the composed total variation.  All sums run in log space:
-binomials go through log-gamma, and every bracket e^x - e^y is evaluated
-in the cancellation-free form e^y(e^{x-y} - 1) with x > y.  A brute-force
-oracle (the k-fold product of a dominating pair) and a type-class
-approximation cross-check the closed form.
+j = 0..k plus the composed total variation.  Every delta_j is a
+hockey-stick divergence of the k-fold product of the dominating pair, whose
+privacy-loss levels lie on the lattice m*eps.  One kernel computes the
+level masses W(m) from exact log-factorials and then both delta_j and
+1 - delta_j as log-sums of positive terms, so nothing cancels; the exact,
+type-class and TV-blind ledgers are views of it.  A brute-force oracle (the
+k-fold product of a dominating pair) cross-checks it on its own code path.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .curves import (
     PrivacyBudget,
@@ -35,9 +37,10 @@ _TYPED_LIMIT = 10**4
 class LedgerEntry:
     """One composed DP statement: (epsilon_j, delta_j) at level j.
 
-    ``log_one_minus_delta`` keeps log(1 - delta_j) (summed on its own by the
-    exact and baseline ledgers) so that curve intercepts survive when
-    delta_j rounds to 1 in double precision.
+    ``log_one_minus_delta`` keeps log(1 - delta_j), the value ``delta`` is
+    rounded from, so that curve intercepts survive when delta_j rounds to 1
+    in double precision.  ``clamped`` flags an entry whose log(1 - delta_j)
+    rounded above 0 and was clipped.
     """
 
     j: int
@@ -87,189 +90,117 @@ def _validate_composable(budget: PrivacyBudget):
         raise ValidationError("epsilon = 0 composes only with eta = delta")
 
 
-def _log_binom(n, r):
-    n = np.asarray(n, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return gammaln(n + 1.0) - gammaln(r + 1.0) - gammaln(n - r + 1.0)
-
-
-def _log_expm1(x):
-    """log(e^x - 1) for x > 0, stable at both ends."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    big = x > 33.0
-    out[big] = x[big] + np.log1p(-np.exp(-x[big]))
-    with np.errstate(divide="ignore"):
-        out[~big] = np.log(np.expm1(x[~big]))
-    return out
-
-
-def _log1m_exp(log_p: float) -> float:
-    """log(1 - e^L) for L <= 0."""
-    if log_p >= 0.0:
-        return -math.inf
-    if log_p > -math.log(2.0):
-        return math.log(-math.expm1(log_p))
-    return math.log1p(-math.exp(log_p))
-
-
-def _level_log_masses(k: int, eps: float, alpha: float, lf: np.ndarray) -> np.ndarray:
+def _level_log_masses(k: int, eps: float, alpha: float) -> np.ndarray:
     """log W(m) at index m + k: the mass under p0 of the k-fold dominating
-    pair's privacy-loss level m*eps, from a table ``lf`` of log n!.
+    pair's privacy-loss level m*eps.
 
     Each step draws the eps-likely symbol (n0 times), the unlikely one (l
-    times) or an erasure (a times), and m = n0 - l.
+    times) or an erasure (a times), and m = n0 - l.  A fixed a fills every
+    other level from a - k to k - a, so the masses cost O(k^2), or O(k)
+    when alpha = 0 leaves only a = 0.
     """
     log_w = np.full(2 * k + 1, -np.inf)
     if alpha >= 1.0:
         log_w[k] = 0.0
         return log_w
+    lf = gammaln(np.arange(k + 1) + 1.0)
     log_p00 = math.log1p(-alpha) + eps - float(np.logaddexp(0.0, eps))
     log_p02 = math.log1p(-alpha) - float(np.logaddexp(0.0, eps))
-    a_iter = (0,) if alpha == 0.0 else range(k + 1)
-    for a in a_iter:
-        l_arr = np.arange(k - a + 1)
+    for a in (0,) if alpha == 0.0 else range(k + 1):
+        l_arr = np.arange(k - a, -1, -1)  # ascending m = k - a - 2l
         n0 = k - a - l_arr
         log_mass = lf[k] - lf[a] - lf[l_arr] - lf[n0] + n0 * log_p00 + l_arr * log_p02
         if a:
             log_mass = log_mass + a * math.log(alpha)
-        idx = n0 - l_arr + k  # distinct within a fixed a
-        log_w[idx] = np.logaddexp(log_w[idx], log_mass)
+        rows = slice(a, 2 * k - a + 1, 2)
+        log_w[rows] = np.logaddexp(log_w[rows], log_mass)
     return log_w
 
 
-def _log_keep_levels(log_w: np.ndarray, eps: float) -> np.ndarray:
-    """log(1 - delta_j) for j = 0..k from the level masses.
+def _log_tail_sums(log_w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log delta_j, log(1 - delta_j)) for j = 0..k from the level masses.
 
-    1 - delta_j = sum_m W(m) min(1, e^{(j-m) eps}) is a sum of positive
-    terms, so it keeps its relative precision where delta_j is within
-    rounding of 1 and the inner sums for delta_j cannot resolve it.
+    With T_i = sum_{m >= i} W(m) e^{(i-m) eps},
+        delta_j     = (1 - e^-eps) sum_{i > j} T_i,
+        1 - delta_j = sum_{m <= j} W(m) + e^-eps T_{j+1},
+    both sums of positive terms, so each keeps its relative precision where
+    the other is within rounding of 1.
     """
     k = (log_w.size - 1) // 2
-    levels = np.arange(-k, k + 1)
-    j = np.arange(k + 1)
-    at_most = np.logaddexp.accumulate(log_w)[j + k]
-    tilted = np.logaddexp.accumulate((log_w - levels * eps)[::-1])[::-1]
-    above = np.append(tilted[j[:-1] + k + 1], -np.inf)
-    return np.logaddexp(at_most, j * eps + above)
+    tilt = np.arange(-k, k + 1) * eps
+    log_t = np.logaddexp.accumulate((log_w - tilt)[::-1])[::-1] + tilt
+    above = np.append(log_t[k + 1 :], -np.inf)  # log T_{j+1}
+    with np.errstate(divide="ignore"):  # eps = 0: log(1 - e^0) = -inf
+        log_gap = float(np.log(-np.expm1(-eps)))
+    log_delta = log_gap + np.logaddexp.accumulate(above[::-1])[::-1]
+    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w)[k:], above - eps)
+    return log_delta, log_keep
 
 
-def _wrap_entries(
-    k: int,
-    eps: float,
-    delta: float,
-    log_delta_j: dict[int, float],
-    log_keep_j: np.ndarray | None = None,
-):
-    """Apply the 1 - (1-delta)^k (1-delta_j) wrapper to raw inner sums.
+def _ledger_entries(k: int, eps: float, delta: float, alpha: float):
+    """Ledger entries j = 0..k: the kernel behind every composition ledger.
 
-    Inner sums carry ~k ulps of log-space rounding; a delta_j within that
-    noise of 1 is pinned to exactly 1 (and flagged) so the curve never
-    reports privacy that is only accumulated float error.  Where given,
-    ``log_keep_j[j]`` = log(1 - delta_j), summed on its own, sets the
-    curve's intercepts instead.
+    log(1 - delta_j) comes from the delta_j sum while delta_j < 1/2 and from
+    its own sum beyond that; the 1 - (1-delta)^k (1-delta_j) wrapper then
+    gives both fields of each entry from that one value.
     """
-    log_keep = k * math.log1p(-delta) if delta < 1.0 else -math.inf
-    noise_floor = -4e-16 * k
+    log_delta, log_keep = _log_tail_sums(_level_log_masses(k, eps, alpha), eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(
+            log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
+        )
+    log_wrap = k * math.log1p(-delta) if delta < 1.0 else -math.inf
     entries = []
-    for j in sorted(log_delta_j):
-        log_dj = min(log_delta_j[j], 0.0)
-        pinned = log_dj >= noise_floor and log_dj > -math.inf
-        raw = -math.inf if pinned else log_keep + _log1m_exp(log_dj)
-        dp = -math.expm1(raw)
-        if log_keep_j is not None:
-            raw = log_keep + float(log_keep_j[j])
+    for j, log_kj in enumerate(inner.tolist()):
+        raw = log_wrap + min(log_kj, 0.0)
         entries.append(
             LedgerEntry(
                 j,
                 j * eps,
-                min(dp, 1.0),
-                clamped=pinned or dp > 1.0,
+                -math.expm1(raw),
+                clamped=log_kj > 0.0,
                 log_one_minus_delta=raw,
             )
         )
     return tuple(entries)
 
 
-def _exact_log_delta(k: int, j: int, eps: float, alpha: float) -> float:
-    """Inner sum of the composition formula for one j, in log space."""
-    a_hi = k - j - 1
-    if a_hi < 0:
-        return -math.inf
-    if alpha >= 1.0:
-        return -math.inf
-    log_base = math.log1p(-alpha) - np.logaddexp(0.0, eps)
-    a_vals = np.array([0]) if alpha == 0.0 else np.arange(a_hi + 1)
-    counts = (k - j - a_vals + 1) // 2  # ceil((k-j-a)/2), >= 1 in range
-    a_rep = np.repeat(a_vals, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    l_arr = np.arange(int(counts.sum())) - np.repeat(offsets, counts)
-    logs = (
-        _log_binom(k, a_rep)
-        + _log_binom(k - a_rep, l_arr)
-        + (k - a_rep) * log_base
-        + _log_expm1(eps * (k - 2 * l_arr - a_rep - j))
-        + eps * (l_arr + j)
-    )
-    if alpha > 0.0:
-        logs = logs + np.where(a_rep == 0, 0.0, a_rep * math.log(alpha))
-    return float(logsumexp(logs))
-
-
-def compose_exact(budget: PrivacyBudget, k: int) -> CompositionLedger:
-    """Exact k-fold adaptive composition of the budget's mechanism class.
-
-    delta_j is the double sum over uninformative-symbol counts a and
-    minority-symbol counts l; empty ranges contribute nothing, so j = k
-    always yields the raw (k*eps, wrapper-only) statement.
-    """
-    k = _check_k(k)
+def _budget_ledger(budget: PrivacyBudget, k: int, method: str) -> CompositionLedger:
     _validate_composable(budget)
-    eps, delta = budget.epsilon, budget.delta
     alpha = DominatingSpec.from_budget(budget).alpha
-    log_delta_j = {j: _exact_log_delta(k, j, eps, alpha) for j in range(k + 1)}
-    lf = gammaln(np.arange(k + 1) + 1.0)
-    log_keep_j = _log_keep_levels(_level_log_masses(k, eps, alpha, lf), eps)
-    entries = _wrap_entries(k, eps, delta, log_delta_j, log_keep_j)
+    entries = _ledger_entries(k, budget.epsilon, budget.delta, alpha)
     return CompositionLedger(
         k=k,
         base=budget,
         entries=entries,
         composed_eta=entries[0].delta,
-        method="exact",
+        method=method,
     )
+
+
+def compose_exact(budget: PrivacyBudget, k: int) -> CompositionLedger:
+    """Exact k-fold adaptive composition of the budget's mechanism class.
+
+    j = k always yields the raw (k*eps, wrapper-only) statement, since no
+    privacy-loss level lies above k*eps.
+    """
+    return _budget_ledger(budget, _check_k(k), "exact")
 
 
 def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     """Baseline composition that ignores total variation.
 
-    Only levels j with the same parity as k appear; the composed eta is
-    read off the resulting envelope since the j = 0 statement exists only
-    for even k.
+    This is the exact ledger with no uninformative symbol (alpha = 0), whose
+    levels all share the parity of k, so only those j appear; the composed
+    eta is read off the resulting envelope since the j = 0 statement exists
+    only for even k.
     """
     k = _check_k(k)
     if epsilon < 0.0:
         raise ValidationError("epsilon must be >= 0")
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
-    log_norm = k * np.logaddexp(0.0, epsilon)
-    log_delta_j: dict[int, float] = {}
-    for j in range(k % 2, k + 1, 2):
-        n_terms = (k - j) // 2
-        if n_terms == 0:
-            log_delta_j[j] = -math.inf
-            continue
-        l_arr = np.arange(n_terms)
-        logs = (
-            _log_binom(k, l_arr)
-            + _log_expm1(epsilon * (k - 2 * l_arr - j))
-            + epsilon * (l_arr + j)
-            - log_norm
-        )
-        log_delta_j[j] = float(logsumexp(logs))
-    lf = gammaln(np.arange(k + 1) + 1.0)
-    log_keep_j = _log_keep_levels(_level_log_masses(k, epsilon, 0.0, lf), epsilon)
-    entries = _wrap_entries(k, epsilon, delta, log_delta_j, log_keep_j)
+    entries = _ledger_entries(k, epsilon, delta, 0.0)[k % 2 :: 2]
     curve = _entries_to_curve(entries)
     return CompositionLedger(
         k=k,
@@ -430,70 +361,20 @@ def oracle_compose(pair: DiscretePair, k: int, mode: str = "auto") -> TradeoffCu
 
 
 # ---------------------------------------------------------------------------
-# Method-of-types approximation of the exact ledger.
-
-_STIRLING_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _log_factorials(k: int, tol: float) -> np.ndarray:
-    """Table of log n! for n = 0..k.
-
-    Entries below a tolerance-derived threshold are exact log-gamma values;
-    the rest use the Stirling series through the n^-5 term, whose remainder
-    1/(1680 n^7) keeps every class probability within the requested
-    relative tolerance.
-    """
-    n_exact = max(8, math.ceil((8.0 / (1680.0 * tol)) ** (1.0 / 7.0)))
-    n = np.arange(k + 1, dtype=float)
-    out = np.empty(k + 1)
-    small = n < n_exact
-    out[small] = gammaln(n[small] + 1.0)
-    nb = n[~small]
-    out[~small] = (
-        nb * np.log(nb)
-        - nb
-        + 0.5 * (np.log(nb) + _STIRLING_LOG_2PI)
-        + 1.0 / (12.0 * nb)
-        - 1.0 / (360.0 * nb**3)
-        + 1.0 / (1260.0 * nb**5)
-    )
-    return out
+# Type-class ledger, kept for callers of the earlier approximation.
 
 
 def compose_types_approx(
     budget: PrivacyBudget, k: int, tol: float = 1e-6
 ) -> CompositionLedger:
-    """Composition ledger via type classes with Stirling-corrected log masses.
+    """Composition ledger via type classes binned by privacy-loss level.
 
-    All (a, l) classes are binned by their composed log-likelihood-ratio
-    level m, so the whole ledger costs O(k^2) instead of O(k^3); entrywise
-    relative agreement with compose_exact is within ``tol`` by the choice
-    of the exact-count threshold.
+    Binning the (a, l) type classes by their level m is exactly what the
+    composition kernel does, so this returns the exact ledger, labelled
+    ``method="types"``.  ``tol`` is still validated but no longer changes
+    the result.
     """
     k = _check_k(k)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    _validate_composable(budget)
-    eps, delta = budget.epsilon, budget.delta
-    alpha = DominatingSpec.from_budget(budget).alpha
-
-    log_w = _level_log_masses(k, eps, alpha, _log_factorials(k, tol))
-
-    # delta_j = sum_{m > j} W(m) (1 - e^{(j-m) eps}); every term positive.
-    with np.errstate(divide="ignore"):
-        log_gap = np.log(-np.expm1(-eps * np.arange(1, k + 1, dtype=float)))
-    log_delta_j: dict[int, float] = {}
-    for j in range(k + 1):
-        tail = log_w[k + j + 1 :]
-        if tail.size == 0 or np.all(np.isinf(tail)):
-            log_delta_j[j] = -math.inf
-            continue
-        log_delta_j[j] = float(logsumexp(tail + log_gap[: k - j]))
-    entries = _wrap_entries(k, eps, delta, log_delta_j)
-    return CompositionLedger(
-        k=k,
-        base=budget,
-        entries=entries,
-        composed_eta=entries[0].delta,
-        method="types",
-    )
+    return _budget_ledger(budget, k, "types")

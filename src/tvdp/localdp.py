@@ -52,6 +52,8 @@ class Channel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Channel":
+        if not isinstance(payload, dict) or "matrix" not in payload:
+            raise ValidationError('channel must be a JSON object with a "matrix" key')
         return cls(np.asarray(payload["matrix"], dtype=float))
 
 

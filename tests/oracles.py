@@ -114,3 +114,46 @@ def random_pair(rng: np.random.Generator, size: int, full_support: bool = False)
         p1 = rng.dirichlet(np.full(size, 2.0)) + 0.01
         return p0 / p0.sum(), p1 / p1.sum()
     return rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))
+
+
+def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
+    """(delta_j, 1 - delta_j) for j = 0..k of the k-fold product of the pure
+    dominating pair, as mpmath numbers at ``dps`` digits.
+
+    The pair draws symbol 0 with probability (1-alpha) e^eps / (1+e^eps),
+    symbol 1 with (1-alpha) / (1+e^eps) and an erasure with alpha under p0;
+    p1 swaps symbols 0 and 1.  The mass W(m) of the privacy-loss level
+    m*eps is summed from binomial terms by their ratio recurrence, and then
+    delta_j = sum_{m>j} W(m) - e^{j eps} sum_{m>j} W(m) e^{-m eps} and
+    1 - delta_j = sum_{m<=j} W(m) + e^{j eps} sum_{m>j} W(m) e^{-m eps}.
+    The working precision absorbs the subtraction, whose terms exceed
+    delta_j by at most 1/(1-e^-eps).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        eps, alpha = mpmath.mpf(epsilon), mpmath.mpf(alpha)
+        p = (1 - alpha) * mpmath.exp(eps) / (1 + mpmath.exp(eps))
+        q = (1 - alpha) / (1 + mpmath.exp(eps))
+        mass = [mpmath.mpf(0)] * (2 * k + 1)  # W(m) at index m + k
+        erase = mpmath.mpf(1)  # C(k, a) alpha^a
+        for a in range(k + 1 if alpha else 1):
+            term = erase * p ** (k - a)  # C(k-a, l) p^(k-a-l) q^l at l = 0
+            for l in range(k - a + 1):
+                mass[2 * k - a - 2 * l] += term
+                term = term * (k - a - l) / (l + 1) * q / p
+            erase = erase * (k - a) / (a + 1) * alpha
+        above = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m), j = -1..k
+        tilted = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m) e^{-m eps}
+        for j in range(k - 1, -2, -1):
+            above[j + 1] = above[j + 2] + mass[j + 1 + k]
+            tilted[j + 1] = tilted[j + 2] + mass[j + 1 + k] * mpmath.exp(-(j + 1) * eps)
+        at_most = sum(mass[: k + 1])  # sum_{m <= 0} W(m)
+        deltas, keeps = [], []
+        for j in range(k + 1):
+            if j:
+                at_most += mass[j + k]
+            tilt = mpmath.exp(j * eps) * tilted[j + 1]
+            deltas.append(above[j + 1] - tilt)
+            keeps.append(at_most + tilt)
+        return deltas, keeps

@@ -32,6 +32,7 @@ from tvdp import (
     compose_kairouz,
     compose_types_approx,
     composed_tv,
+    delta_at_epsilon,
     dominating_approx,
     dominating_pure,
     erase_pair,
@@ -268,3 +269,20 @@ def test_c12_dpsgd_pipeline():
         assert note["asserted"] is False
         ref = {p["epsilon"]: p for p in report["reference_points"]}
         assert ref[1.19]["delta_refined"] <= ref[1.19]["delta_baseline"] + 1e-12
+
+
+def test_c13_large_k_oracle():
+    # The typed oracle convolves level masses in linear space, so p1 masses
+    # below 1e-308 underflow; on these ledgers the p0 mass of those levels is
+    # below e^-66, so the oracle is exact to rounding here.
+    with criterion(13, "long exact ledgers match the typed product oracle", 10.0):
+        for budget in (PrivacyBudget(0.5, 0.0, 0.2), PrivacyBudget(0.5, 1e-5, 0.2)):
+            pair = dominating_approx(budget)
+            for k in (100, 1000, 3516):
+                ledger = compose_exact(budget, k)
+                oracle = oracle_compose(pair, k, mode="typed")
+                for entry in ledger.entries:
+                    ref = delta_at_epsilon(oracle, entry.epsilon)
+                    assert abs(entry.delta - ref) <= 1e-9, (budget, k, entry.j)
+                assert abs(ledger.composed_eta - oracle.tv()) <= 1e-9, (budget, k)
+                assert sup_norm(ledger_to_curve(ledger), oracle) <= 1e-9, (budget, k)

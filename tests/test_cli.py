@@ -186,6 +186,18 @@ class TestLdp:
         code, _, err = run(capsys, "ldp", "check")
         assert code == 2 and "channel" in err
 
+    @pytest.mark.parametrize("channel", ["[[1]]", "3", '{"rows": [[1]]}'])
+    def test_check_rejects_non_object_channel(self, capsys, channel):
+        code, out, err = run(capsys, "ldp", "check", "--channel", channel)
+        assert code == 2 and out == ""
+        assert err == 'error: channel must be a JSON object with a "matrix" key\n'
+
+    @pytest.mark.parametrize("pair", ["[1]", "3"])
+    def test_bemech_rejects_non_object_pair(self, capsys, pair):
+        code, out, err = run(capsys, "ldp", "bemech", "--eps", "1", "--eta", "0.3", "--pair", pair)
+        assert code == 2 and out == ""
+        assert err.startswith("error: pair must be a JSON object") and err.count("\n") == 1
+
 
 class TestSgd:
     def test_small_run_json(self, capsys):
@@ -207,6 +219,27 @@ class TestSgd:
         )
         assert code == 0
         assert out.splitlines()[0] == "beta_I,beta_II"
+
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--eps-step", "0"),
+            ("--eps-step", "-0.1"),
+            ("--eps-step", "nan"),
+            ("--eps-step", "inf"),
+            ("--eps-to", "inf"),
+        ],
+    )
+    def test_bad_grid_exit_2(self, capsys, bounds):
+        argv = {"--eps-from": "0.5", "--eps-to": "2.0", "--eps-step": "0.5"}
+        argv.update([bounds])
+        code, out, err = run(
+            capsys, "sgd", "--n", "1000", "--batch", "100", "--epochs", "2",
+            "--mu", str(1 / 1.3), *(x for item in argv.items() for x in item),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --eps-") and err.count("\n") == 1
 
 
 class TestDeterminism:

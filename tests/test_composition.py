@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import product_tv
+from oracles import composed_levels_mp, product_tv
 from tvdp import (
     CapacityError,
     DiscretePair,
+    DominatingSpec,
     PrivacyBudget,
     ValidationError,
     compose_exact,
@@ -229,6 +231,46 @@ class TestTypesApprox:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             compose_types_approx(BUDGET_REF, 3, tol=0.0)
+
+    def test_deltas_within_rounding_of_one(self):
+        # the README ledger: against mpmath, 1 - delta_j < 2^-54 for j <= 317
+        # and < 5e-13 for j <= 357, so delta_j is 1.0 in double precision up
+        # to j = 317 and prints as 1 at 12 significant digits up to j = 357
+        led = compose_types_approx(PrivacyBudget(1.0, 0.0, 0.3), 2000)
+        assert all(e.delta == 1.0 for e in led.entries[:318])
+        assert led.entries[318].delta < 1.0
+        assert all(f"{e.delta:.12g}" == "1" for e in led.entries[:358])
+        assert f"{led.entries[358].delta:.12g}" == "0.999999999999"
+        assert led.composed_eta == 1.0
+
+
+class TestPrecisionAgainstMpmath:
+    # every delta_j < 1/2 and every 1 - delta_j < 1/2 within
+    # 4e-16 k (1 + ln k) relative of a 40-digit reference
+    @pytest.mark.parametrize(
+        "budget, k",
+        [
+            (PrivacyBudget.pure(0.5), 1000),
+            (PrivacyBudget.pure(0.5), 3516),
+            (PrivacyBudget.pure(3.4), 10_000),
+            (PrivacyBudget(1.0, 0.0, 0.3), 200),
+        ],
+    )
+    def test_relative_error(self, budget, k):
+        alpha = DominatingSpec.from_budget(budget).alpha
+        assert (alpha == 0.0) == (budget.eta == budget.tv_cap)
+        deltas, keeps = composed_levels_mp(budget.epsilon, alpha, k)
+        bound = 4e-16 * k * (1.0 + math.log(k))
+        checked = 0
+        for entry, delta_j, keep_j in zip(compose_exact(budget, k).entries, deltas, keeps):
+            if 1e-300 < delta_j < 0.5:
+                assert abs(entry.delta / delta_j - 1) <= bound, entry.j
+                checked += 1
+            if keep_j < 0.5:
+                log_ratio = entry.log_one_minus_delta - mpmath.log(keep_j)
+                assert abs(mpmath.expm1(log_ratio)) <= bound, entry.j
+                checked += 1
+        assert checked >= k // 2
 
 
 class TestLedgerSerialization:

@@ -6,11 +6,13 @@ from tvdp import (
     ValidationError,
     compose_types_approx,
     curve_from_budget,
+    dominating_approx,
     gaussian_delta,
     gaussian_tv,
     ledger_to_curve,
     min_gap,
     max_gap,
+    oracle_compose,
     sgd_compare,
     sgd_region,
     sgd_region_baseline,
@@ -142,6 +144,16 @@ class TestSeparationAtDeepT:
     def test_strict_improvement(self):
         assert self.DEEP.steps == 1406
         assert strict_improvement(sgd_region(self.DEEP), sgd_region_baseline(self.DEEP))
+
+    def test_region_matches_oracle_at_smallest_normal_t(self):
+        t = 2.2250738585072014e-308
+        oracles = [
+            oracle_compose(dominating_approx(step_budget(MU, e)), self.DEEP.steps, mode="typed")
+            for e in self.DEEP.epsilon_grid
+        ]
+        expected = max(float(c(t)) for c in oracles)
+        assert expected > 0.0
+        assert float(sgd_region(self.DEEP)(t)) == pytest.approx(expected, rel=1e-9)
 
     def test_dominance_report_agrees(self):
         dominance = sgd_compare(self.DEEP)["dominance"]

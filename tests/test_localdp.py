@@ -43,6 +43,11 @@ class TestChannel:
         with pytest.raises(ValidationError):
             Channel(np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("payload", [[[1.0]], 3, {"rows": [[1.0]]}])
+    def test_from_dict_needs_matrix_object(self, payload):
+        with pytest.raises(ValidationError, match="matrix"):
+            Channel.from_dict(payload)
+
     def test_json_round_trip(self):
         ch = q_star(1.0, 0.3)
         assert np.allclose(Channel.from_dict(ch.as_dict()).matrix, ch.matrix)
