@@ -135,13 +135,14 @@ def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
         eps, alpha = mpmath.mpf(epsilon), mpmath.mpf(alpha)
         p = (1 - alpha) * mpmath.exp(eps) / (1 + mpmath.exp(eps))
         q = (1 - alpha) / (1 + mpmath.exp(eps))
+        q_over_p = q / p if p else mpmath.mpf(0)  # alpha = 1: p = q = 0
         mass = [mpmath.mpf(0)] * (2 * k + 1)  # W(m) at index m + k
         erase = mpmath.mpf(1)  # C(k, a) alpha^a
         for a in range(k + 1 if alpha else 1):
             term = erase * p ** (k - a)  # C(k-a, l) p^(k-a-l) q^l at l = 0
             for l in range(k - a + 1):
                 mass[2 * k - a - 2 * l] += term
-                term = term * (k - a - l) / (l + 1) * q / p
+                term = term * (k - a - l) / (l + 1) * q_over_p
             erase = erase * (k - a) / (a + 1) * alpha
         above = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m), j = -1..k
         tilted = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m) e^{-m eps}

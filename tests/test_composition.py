@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from tvdp import (
     tv_feasibility_cap,
     tv_of_curve,
 )
+from tvdp.composition import _conv_power, _ledger_entries
 
 E = math.e
 ETA_REF = 0.323482
@@ -72,6 +74,12 @@ class TestComposeExact:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             compose_exact(BUDGET_REF, 0)
+
+    def test_large_k_with_erasures_in_time(self):
+        # the README clt budget (alpha > 0) at k = 10^4: O(k) level masses
+        start = time.perf_counter()
+        compose_exact(PrivacyBudget(0.01, 0.0, 0.0049999), 10_000)
+        assert time.perf_counter() - start < 0.5
 
     def test_bayes_security_product_rule(self):
         # eta = delta composes as 1 - (1-delta)^k for any epsilon
@@ -176,6 +184,39 @@ class TestOracleCompose:
             assert composed_tv(BUDGET_REF, k) == pytest.approx(tv_of_curve(oracle), abs=1e-9)
 
 
+class TestConvPower:
+    # the typed oracle convolves only nonzero spans; a plain repeated
+    # convolution does every product, so the two agree to rounding
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            BUDGET_REF,
+            PrivacyBudget.pure(0.5),
+            PrivacyBudget(3.4, 0.0, 0.2),
+            PrivacyBudget(0.01, 0.0, 0.0049999),
+        ],
+    )
+    def test_matches_repeated_convolution(self, budget):
+        alpha = DominatingSpec.from_budget(budget).alpha
+        p = (1.0 - alpha) / (1.0 + math.exp(-budget.epsilon))
+        q = (1.0 - alpha) / (1.0 + math.exp(budget.epsilon))
+        kernels = [
+            np.array([q, alpha, p]),
+            np.array([0.0, q, 0.0, 0.0, alpha, 0.0, 0.0, p, 0.0]),
+            np.array([1e-200, 0.0, alpha, 0.0, 1.0 - alpha - 1e-200]),
+        ]
+        for kernel in kernels:
+            plain = kernel
+            for k in range(1, 65):
+                if k > 1:
+                    plain = np.convolve(plain, kernel)
+                got = _conv_power(kernel, k)
+                assert got.shape == plain.shape
+                assert np.array_equal(got == 0.0, plain == 0.0), k
+                nonzero = plain != 0.0
+                assert np.all(np.abs(got[nonzero] / plain[nonzero] - 1.0) <= 1e-13), k
+
+
 class TestCompositionProperties:
     def test_region_nesting_in_eta(self):
         # smaller eta => larger region => higher curve
@@ -254,15 +295,29 @@ class TestPrecisionAgainstMpmath:
             (PrivacyBudget.pure(0.5), 3516),
             (PrivacyBudget.pure(3.4), 10_000),
             (PrivacyBudget(1.0, 0.0, 0.3), 200),
+            (PrivacyBudget(1.0, 0.0, 0.3), 1),
+            (PrivacyBudget(1.0, 0.0, 0.3), 2000),  # the README types ledger
+            (PrivacyBudget(1.0, 0.0, 0.0), 50),  # eta = delta: alpha = 1
+            # alphas that no budget rounds to reach the kernel directly
+            (DominatingSpec(1.0, 0.0, 1e-300), 200),
+            (DominatingSpec(1.0, 0.0, 5e-324), 200),
         ],
     )
     def test_relative_error(self, budget, k):
-        alpha = DominatingSpec.from_budget(budget).alpha
-        assert (alpha == 0.0) == (budget.eta == budget.tv_cap)
+        if isinstance(budget, DominatingSpec):
+            alpha = budget.alpha
+            entries = _ledger_entries(k, budget.epsilon, budget.delta, alpha)
+        else:
+            alpha = DominatingSpec.from_budget(budget).alpha
+            assert (alpha == 0.0) == (budget.eta == budget.tv_cap)
+            entries = compose_exact(budget, k).entries
         deltas, keeps = composed_levels_mp(budget.epsilon, alpha, k)
         bound = 4e-16 * k * (1.0 + math.log(k))
         checked = 0
-        for entry, delta_j, keep_j in zip(compose_exact(budget, k).entries, deltas, keeps):
+        for entry, delta_j, keep_j in zip(entries, deltas, keeps):
+            if delta_j == 0:
+                assert entry.delta == 0.0, entry.j
+                checked += 1
             if 1e-300 < delta_j < 0.5:
                 assert abs(entry.delta / delta_j - 1) <= bound, entry.j
                 checked += 1
