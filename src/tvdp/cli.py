@@ -146,8 +146,8 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    gap = clt_gap(args.eps, args.eta, args.k)  # validates before the sqrt
     mu = math.sqrt(2.0 * args.k * args.eps * args.eta)
-    gap = clt_gap(args.eps, args.eta, args.k)
     _emit_json({"mu": mu, "gap": gap})
     return 0
 

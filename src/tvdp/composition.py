@@ -223,22 +223,21 @@ def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     """Baseline composition that ignores total variation.
 
     This is the exact ledger with no uninformative symbol (alpha = 0), whose
-    levels all share the parity of k, so only those j appear; the composed
-    eta is read off the resulting envelope since the j = 0 statement exists
-    only for even k.
+    levels all share the parity of k, so only those j appear.  The composed
+    eta is the kernel's delta_0, which it computes for every k even though
+    j = 0 is listed only for even k.
     """
     k = _check_k(k)
     if epsilon < 0.0:
         raise ValidationError("epsilon must be >= 0")
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
-    entries = _ledger_entries(k, epsilon, delta, 0.0)[k % 2 :: 2]
-    curve = _entries_to_curve(entries)
+    entries = _ledger_entries(k, epsilon, delta, 0.0)
     return CompositionLedger(
         k=k,
         base=PrivacyBudget.from_dp(epsilon, delta),
-        entries=entries,
-        composed_eta=curve.tv(),
+        entries=entries[k % 2 :: 2],
+        composed_eta=entries[0].delta,
         method="kairouz",
     )
 

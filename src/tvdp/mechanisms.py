@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, log_ndtr
 
 from .curves import PrivacyBudget, TradeoffCurve, curve_from_budget
@@ -196,35 +195,29 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
     """Step width whose staircase matches the dominating mechanism with the
     given uninformative mass: solves staircase_tv = (1-alpha) tanh(eps/2).
 
-    The TV is increasing on (0, 1/2] and decreasing on [1/2, inf); the
-    narrow-step branch is preferred when it contains a solution.
+    The TV is increasing on (0, 1/2] and decreasing on [1/2, inf), and on
+    each branch a ratio of affine functions of gamma, so it inverts in
+    closed form.  With p = 1 - e^-eps, q = e^-eps and T = (1-alpha) p/(1+q),
+    the narrow root q (2T - p) / (2p (p - T)) is preferred whenever it is
+    positive (2T > p, i.e. p > 2 alpha); otherwise the wide root is
+    1/(2T) - q/p.  Both are evaluated with T substituted, since p - T
+    rounds to 0 at large eps once alpha is below an ulp of 1.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
     if not 0.0 <= alpha < 1.0:
         raise ValidationError("alpha must lie in [0, 1)")
-    target = (1.0 - alpha) * math.tanh(epsilon / 2.0)
-    max_tv = math.tanh(epsilon / 2.0)
-    if target > max_tv + 1e-12:
-        raise ValidationError("target total variation exceeds the staircase maximum")
     if alpha == 0.0:
         return 0.5
-
-    def resid(g):
-        return staircase_tv(StaircaseSpec(g, epsilon)) - target
-
-    q = math.exp(-epsilon)
-    tv_at_zero = (1.0 - q) / 2.0
-    if target >= tv_at_zero:
-        root = brentq(resid, 1e-300, 0.5, xtol=1e-15, rtol=8.9e-16)
+    target = (1.0 - alpha) * math.tanh(epsilon / 2.0)
+    p, q = -math.expm1(-epsilon), math.exp(-epsilon)
+    if p > 2.0 * alpha:
+        gamma = q * (p - 2.0 * alpha) / (2.0 * p * (q + alpha))
     else:
-        hi = 1.0
-        while staircase_tv(StaircaseSpec(hi, epsilon)) > target:
-            hi *= 2.0
-        root = brentq(resid, 0.5, hi, xtol=1e-12, rtol=8.9e-16)
-    if abs(resid(root)) > 1e-10:
+        gamma = (p + 2.0 * q * alpha) / (2.0 * p * (1.0 - alpha))
+    if abs(staircase_tv(StaircaseSpec(gamma, epsilon)) - target) > 1e-10:
         raise ValidationError("staircase solve did not reach the 1e-10 TV tolerance")
-    return float(root)
+    return gamma
 
 
 def staircase_curve(spec: StaircaseSpec) -> TradeoffCurve:

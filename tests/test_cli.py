@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,18 @@ class TestClt:
         payload = json.loads(out)
         assert payload["mu"] == pytest.approx(math.sqrt(2 * 100 * eps * eta), abs=1e-9)
         assert 0 < payload["gap"] < 0.02
+
+    @pytest.mark.parametrize(
+        "argv, constraint",
+        [
+            (["--eps", "0.1", "--eta", "0.04", "-k", "-5"], "k must be an integer >= 1"),
+            (["--eps", "-1", "--eta", "0.04", "-k", "5"], "epsilon must be >= 0"),
+        ],
+    )
+    def test_invalid_input_names_constraint(self, capsys, argv, constraint):
+        code, out, err = run(capsys, "clt", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and constraint in err
 
 
 class TestMech:
@@ -261,3 +277,16 @@ class TestDeterminism:
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "mech", "tv", "--kind", "laplace", "--eps", "1")
         assert out.strip() == "0.393469340287"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, tvdp.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -104,6 +104,14 @@ class TestComposeKairouz:
         led = compose_kairouz(1.0, 0.0, 5)
         assert [e.j for e in led.entries] == [1, 3, 5]
 
+    @pytest.mark.parametrize("eps, k", [(0.5, 3517), (0.1, 101)])
+    def test_odd_k_composed_eta_is_delta_0(self, eps, k):
+        # j = 0 is not listed for odd k, yet eta is still the kernel's delta_0
+        led = compose_kairouz(eps, 0.0, k)
+        assert led.entries[0].j == 1
+        delta_0 = float(composed_levels_mp(eps, 0.0, k)[0][0])
+        assert abs(led.composed_eta / delta_0 - 1) <= 4e-16 * k * (1.0 + math.log(k))
+
     def test_alpha_zero_exact_recovers_baseline(self):
         for eps in (0.25, 1.0, 2.0):
             for delta in (0.0, 0.05):

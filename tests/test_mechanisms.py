@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     gaussian_tv_quadrature,
@@ -224,6 +226,50 @@ class TestStaircaseGammaForAlpha:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValidationError):
             staircase_gamma_for_alpha(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "eps, alpha",
+        [
+            (14.287026620351535, 0.4159649145968426),  # a bracketed solve missed 1e-10
+            (1.0082184410819636e-06, 5.1179711627827e-13),  # its bracket had no sign change
+        ],
+    )
+    def test_meets_tolerance_where_root_finding_failed(self, eps, alpha):
+        g = staircase_gamma_for_alpha(eps, alpha)
+        target = (1.0 - alpha) * math.tanh(eps / 2.0)
+        assert abs(staircase_tv(StaircaseSpec(g, eps)) - target) <= 1e-10
+
+    def test_alpha_below_an_ulp_of_one_at_large_eps(self):
+        # (1 - alpha) tanh(20) rounds to 1 = 1 - e^-40, yet the narrow root
+        # q (p - 2 alpha) / (2p (q + alpha)) is well defined
+        eps, alpha = 40.0, 1e-17
+        q = math.exp(-eps)
+        g = staircase_gamma_for_alpha(eps, alpha)
+        assert g == pytest.approx(q / (2.0 * (q + alpha)), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.01, 1.0, 30.0])
+    def test_branch_point_takes_wide_root(self, eps):
+        # at 2T = p the narrow root has shrunk to 0, so the wide root gamma = 1 is taken
+        alpha = -math.expm1(-eps) / 2.0
+        assert staircase_gamma_for_alpha(eps, alpha) == pytest.approx(1.0, abs=1e-12)
+
+
+_ALPHAS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-15.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(700.0)).map(math.exp), _ALPHAS)
+def test_staircase_gamma_round_trip(eps, alpha):
+    g = staircase_gamma_for_alpha(eps, alpha)
+    target = (1.0 - alpha) * math.tanh(eps / 2.0)
+    assert abs(staircase_tv(StaircaseSpec(g, eps)) - target) <= 1e-10
+    # narrow branch exactly when 2T > p, which is p > 2 alpha with T substituted
+    if -math.expm1(-eps) > 2.0 * alpha:
+        assert g <= 0.5
 
 
 class TestStaircaseCurve:
