@@ -9,6 +9,7 @@ is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from .amplification import subsample
 from .asymptotics import clt_gap
 from .composition import compose_exact, compose_kairouz, compose_types_approx
 from .curves import PrivacyBudget, TradeoffCurve, curve_from_budget, tv_feasibility_cap
-from .divergences import DiscretePair
+from .divergences import DiscretePair, DivergenceSpec
 from .dpsgd import SgdConfig, sgd_compare
 from .errors import ValidationError
 from .localdp import (
@@ -35,7 +36,6 @@ from .localdp import (
     opt_conversion_factor,
     q_star,
 )
-from .divergences import DivergenceSpec
 from .mechanisms import (
     GaussianParams,
     StaircaseSpec,
@@ -90,7 +90,7 @@ def _curve_csv(curve: TradeoffCurve, grid: int | None) -> None:
     xs = curve.xs
     if grid:
         xs = np.union1d(xs, np.linspace(0.0, 1.0, grid))
-    _emit_csv(["beta_I", "beta_II"], ((float(x), float(curve(x))) for x in xs))
+    _emit_csv(["beta_I", "beta_II"], zip(xs.tolist(), curve(xs).tolist()))
 
 
 def _budget_from_args(args) -> PrivacyBudget:
@@ -336,10 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged and no default reads the
+    # environment (TVDP_MAX_EPS is read per call), so one parser serves
+    # every dispatch of the process.
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

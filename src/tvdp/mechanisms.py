@@ -201,7 +201,9 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
     the narrow root q (2T - p) / (2p (p - T)) is preferred whenever it is
     positive (2T > p, i.e. p > 2 alpha); otherwise the wide root is
     1/(2T) - q/p.  Both are evaluated with T substituted, since p - T
-    rounds to 0 at large eps once alpha is below an ulp of 1.
+    rounds to 0 at large eps once alpha is below an ulp of 1.  Where
+    e^-eps (1 - 2 alpha) / (2 alpha) is below the smallest subnormal (eps of
+    about 744 at alpha = 0.3) the narrow root underflows to 0, which raises.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -213,6 +215,11 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
     p, q = -math.expm1(-epsilon), math.exp(-epsilon)
     if p > 2.0 * alpha:
         gamma = q * (p - 2.0 * alpha) / (2.0 * p * (q + alpha))
+        if gamma == 0.0:
+            raise ValidationError(
+                f"epsilon = {epsilon:.12g} is too large: the staircase step width, "
+                "of order e^-epsilon, underflows to 0"
+            )
     else:
         gamma = (p + 2.0 * q * alpha) / (2.0 * p * (1.0 - alpha))
     if abs(staircase_tv(StaircaseSpec(gamma, epsilon)) - target) > 1e-10:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdp.cli import dispatch
+from tvdp import (
+    PrivacyBudget,
+    SgdConfig,
+    TradeoffCurve,
+    curve_from_budget,
+    sgd_compare,
+    tv_feasibility_cap,
+)
+from tvdp.cli import build_parser, dispatch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -279,14 +290,146 @@ class TestDeterminism:
         assert out.strip() == "0.393469340287"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, tvdp.cli; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+def _fresh_python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    probe = "import sys, tvdp.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh_python("-c", probe).stdout.strip() == "False"
+
+
+def _fresh_parser_run(capsys, argv):
+    """Exit code and stderr of argv parsed by a parser built for this call."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return exc.value.code, err
+
+
+_VALID = [
+    ["region", "--eps", "1", "--eta", "0.323482"],
+    ["mech", "tv", "--kind", "laplace", "--eps", "0.7"],
+    ["compose", "--eps", "1", "--eta", "0.3", "-k", "3"],
+    ["ldp", "qstar", "--eps", "1", "--eta", "0.3"],
+]
+_USAGE_ERRORS = [
+    ["region", "--nope", "1"],
+    ["region", "--eps", "abc"],
+    [],
+    ["mech"],
+]
+
+
+class TestCachedParser:
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_max_eps_is_read_per_dispatch(self, capsys, monkeypatch):
+        outputs = []
+        for cap in ("30", "40"):
+            monkeypatch.setenv("TVDP_MAX_EPS", cap)
+            code, out, err = run(capsys, "region", "--eta", "0.2")
+            assert code == 0 and err == ""
+            assert out == _fresh_python("-m", "tvdp.cli", "region", "--eta", "0.2").stdout
+            outputs.append(out)
+        assert outputs[0] != outputs[1]
+
+    def test_usage_errors_interleaved_with_valid_argv(self, capsys):
+        expected = {tuple(argv): _fresh_parser_run(capsys, argv) for argv in _USAGE_ERRORS}
+        first = {}
+        for _ in range(2):
+            for valid, invalid in zip(_VALID, _USAGE_ERRORS):
+                code, out, err = run(capsys, *valid)
+                assert code == 0 and err == ""
+                assert first.setdefault(tuple(valid), out) == out
+                code, out, err = run(capsys, *invalid)
+                assert out == ""
+                assert (code, err) == expected[tuple(invalid)]
+                assert code == 2 and err.startswith("usage: tvdp")
+
+    def test_dispatch_builds_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        dispatch(_VALID[0])
+        built.clear()
+        forms = _VALID + _USAGE_ERRORS + [["mech", "tv", "--kind", "gaussian"]]
+        for i in range(50):
+            assert dispatch(forms[i % len(forms)]) in (0, 2)
+        capsys.readouterr()
+        assert built == []
+        build_parser()
+        assert built  # the counter sees parser construction
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **kw):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **kw)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import tvdp.cli\n"
+            "print(len(built))\n"
+        )
+        assert _fresh_python("-c", probe).stdout.strip() == "0"
+
+
+def _reference_csv(curve, grid) -> str:
+    """CSV of a curve evaluated one point at a time."""
+    xs = curve.xs if grid is None else np.union1d(curve.xs, np.linspace(0.0, 1.0, grid))
+    rows = [f"{float(x):.12g},{float(curve(x)):.12g}" for x in xs]
+    return "\n".join(["beta_I,beta_II", *rows]) + "\n"
+
+
+def _seeded_budgets(count=50, seed=14):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+        delta = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.1))
+        eta = float(rng.uniform(delta, tv_feasibility_cap(eps, delta)))
+        out.append(PrivacyBudget(eps, delta, eta))
+    return out
+
+
+class TestCurveCsv:
+    @pytest.mark.parametrize("grid", [None, 2, 11, 101, 1001])
+    def test_region_csv_matches_pointwise_evaluation(self, capsys, grid):
+        grid_flag = [] if grid is None else ["--grid", str(grid)]
+        for budget in _seeded_budgets():
+            code, out, err = run(
+                capsys, "region", "--eps", repr(budget.epsilon), "--delta", repr(budget.delta),
+                "--eta", repr(budget.eta), "--out", "csv", *grid_flag,
+            )
+            assert code == 0 and err == ""
+            assert out == _reference_csv(curve_from_budget(budget), grid)
+
+    @pytest.mark.parametrize("grid", [None, 11, 101])
+    def test_sgd_csv_matches_pointwise_evaluation(self, capsys, grid):
+        grid_flag = [] if grid is None else ["--grid", str(grid)]
+        code, out, err = run(
+            capsys, "sgd", "--n", "1000", "--batch", "100", "--epochs", "2", "--mu", "0.7692307692",
+            "--eps-from", "0.5", "--eps-to", "1.5", "--eps-step", "0.5", "--out", "csv", *grid_flag,
+        )
+        assert code == 0 and err == ""
+        config = SgdConfig(
+            dataset_size=1000, batch_size=100, epochs=2.0, step_mu=0.7692307692,
+            epsilon_grid=(0.5, 1.0, 1.5),
+        )
+        curve = TradeoffCurve.from_dict(sgd_compare(config)["curve"])
+        assert out == _reference_csv(curve, grid)

@@ -247,6 +247,15 @@ class TestStaircaseGammaForAlpha:
         g = staircase_gamma_for_alpha(eps, alpha)
         assert g == pytest.approx(q / (2.0 * (q + alpha)), rel=1e-12)
 
+    def test_subnormal_step_width_at_720(self):
+        assert staircase_gamma_for_alpha(720.0, 0.3) == pytest.approx(1.35482053495e-313, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [745.0, 800.0])
+    def test_underflowing_step_width_names_epsilon(self, eps):
+        # e^-eps rounds to 0 or to 5e-324, so the narrow root underflows to 0
+        with pytest.raises(ValidationError, match=rf"epsilon = {eps:g} .*underflows to 0"):
+            staircase_gamma_for_alpha(eps, 0.3)
+
     @pytest.mark.parametrize("eps", [1e-6, 0.01, 1.0, 30.0])
     def test_branch_point_takes_wide_root(self, eps):
         # at 2T = p the narrow root has shrunk to 0, so the wide root gamma = 1 is taken
