@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .curves import PrivacyBudget, curve_from_budget, curve_from_pair
+from .curves import PrivacyBudget, _check_exp, curve_from_budget, curve_from_pair
 from .divergences import DiscretePair
 from .errors import ValidationError
 from .mechanisms import dominating_approx
@@ -25,6 +25,7 @@ def subsample(budget: PrivacyBudget, p: float) -> PrivacyBudget:
     """
     if not 0.0 < p <= 1.0:
         raise ValidationError("subsampling ratio p must lie in (0, 1]")
+    _check_exp(budget.epsilon)
     new_eps = math.log1p(p * math.expm1(budget.epsilon))
     return PrivacyBudget(new_eps, p * budget.delta, p * budget.eta)
 

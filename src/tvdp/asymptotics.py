@@ -19,25 +19,19 @@ from .curves import PrivacyBudget
 from .errors import ValidationError
 
 
-def _check_pure(epsilon: float, eta: float):
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
-    if not 0.0 <= eta <= math.tanh(epsilon / 2.0) + 1e-12:
-        raise ValidationError("eta exceeds (e^eps-1)/(e^eps+1)")
-
-
 def kl_functional(epsilon: float, eta: float) -> float:
     """Mean absolute log-slope of the pure (epsilon, 0, eta) curve: eps * eta."""
-    _check_pure(epsilon, eta)
+    PrivacyBudget.pure(epsilon, eta)
     return epsilon * eta
 
 
 def kappa2(epsilon: float, eta: float) -> float:
     """Second log-slope moment: eta eps^2 (e^eps+1)/(e^eps-1)."""
-    _check_pure(epsilon, eta)
-    if epsilon == 0.0:
+    PrivacyBudget.pure(epsilon, eta)
+    cap = math.tanh(epsilon / 2.0)
+    if cap == 0.0:  # epsilon = 0, or 5e-324 whose square is 0 as well
         return 0.0
-    return eta * epsilon * epsilon / math.tanh(epsilon / 2.0)
+    return eta * epsilon * epsilon / cap
 
 
 def kappa3(epsilon: float, eta: float) -> float:
@@ -60,7 +54,7 @@ def clt_mu(schedule) -> float:
     """Limiting Gaussian parameter of a composition schedule: sqrt(2 sum eps*eta)."""
     total = 0.0
     for epsilon, eta in schedule:
-        _check_pure(epsilon, eta)
+        PrivacyBudget.pure(epsilon, eta)
         total += epsilon * eta
     return math.sqrt(2.0 * total)
 
@@ -73,8 +67,7 @@ def clt_gap(epsilon: float, eta: float, k: int, grid_size: int = 10_000) -> floa
     discretization; the distance is evaluated exactly at the union of the
     grid and the composed curve's vertices.
     """
-    _check_pure(epsilon, eta)
-    ledger = compose_exact(PrivacyBudget(epsilon, 0.0, eta), k)
+    ledger = compose_exact(PrivacyBudget.pure(epsilon, eta), k)
     curve = ledger_to_curve(ledger)
     mu = math.sqrt(2.0 * k * epsilon * eta)
     xs = np.union1d(curve.xs, np.linspace(0.0, 1.0, grid_size))

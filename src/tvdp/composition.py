@@ -228,14 +228,11 @@ def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     j = 0 is listed only for even k.
     """
     k = _check_k(k)
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError("delta must lie in [0, 1]")
+    base = PrivacyBudget.from_dp(epsilon, delta)
     entries = _ledger_entries(k, epsilon, delta, 0.0)
     return CompositionLedger(
         k=k,
-        base=PrivacyBudget.from_dp(epsilon, delta),
+        base=base,
         entries=entries[k % 2 :: 2],
         composed_eta=entries[0].delta,
         method="kairouz",

@@ -41,6 +41,18 @@ _SAME_LOG_T = 1e-15
 _MAX_PASSES = 32
 
 
+# Largest epsilon whose e^epsilon (and e^epsilon - 1) is a finite double.
+_MAX_EXP_EPSILON = math.log(float(np.finfo(float).max))
+
+
+def _check_exp(epsilon: float) -> None:
+    """Reject an epsilon whose e^epsilon overflows a double."""
+    if epsilon > _MAX_EXP_EPSILON:
+        raise ValidationError(
+            f"epsilon = {epsilon:.12g} is too large: e^epsilon overflows a double"
+        )
+
+
 def tv_feasibility_cap(epsilon: float, delta: float) -> float:
     """Largest total variation consistent with an (epsilon, delta)-DP guarantee."""
     return delta + (1.0 - delta) * math.tanh(epsilon / 2.0)
@@ -56,7 +68,7 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ValidationError("epsilon must be finite and >= 0")
+            raise ValidationError("epsilon must be >= 0 and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError("delta must lie in [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
@@ -210,26 +222,25 @@ class TradeoffCurve:
     def tv(self) -> float:
         """Tightest eta such that t + f(t) >= 1 - eta everywhere.
 
-        The minimum of t + f(t) over a convex piecewise-linear curve is
-        attained at a vertex.
+        t + f(t) falls while the slope is steeper than -1, so its minimum
+        is at the left end of the first segment with |slope| <= 1 (or at
+        t = 1, where it is at least 1).  There it is e^lb + t (1 - e^lm),
+        a sum of positive terms, so a small eta keeps its relative
+        precision.
         """
-        return float(1.0 - np.min(np.exp(self._lt) + np.exp(self._lf)))
+        flat = self._lm <= 0.0
+        if not flat.any():
+            return 0.0
+        s = int(np.argmax(flat))
+        log_min = np.logaddexp(self._lb[s], self._lt[s] + _log1mexp(self._lm[s]))
+        return max(0.0, float(-np.expm1(log_min)))
 
     def check_budget(self, budget: PrivacyBudget, tol: float = GEOM_TOL) -> bool:
-        """True iff the curve satisfies all three budget inequalities.
-
-        Linear constraints hold on a segment iff they hold at its endpoints,
-        so vertex checks are sufficient.
-        """
-        lt, lf, eps = self._lt, self._lf, budget.epsilon
-        lo = 1.0 - budget.delta - tol
-        if lo > 0.0:
-            log_lo = math.log(lo)
-            if np.any(np.logaddexp(lt, eps + lf) < log_lo) or np.any(
-                np.logaddexp(eps + lt, lf) < log_lo
-            ):
-                return False
-        return not np.any(np.exp(lt) + np.exp(lf) < 1.0 - budget.eta - tol)
+        """True iff the curve satisfies all three budget inequalities."""
+        return (
+            delta_at_epsilon(self, budget.epsilon) <= budget.delta + tol
+            and self.tv() <= budget.eta + tol
+        )
 
     def mirror(self) -> "TradeoffCurve":
         """Reflection of the privacy region across the diagonal y = x.

@@ -34,6 +34,8 @@ class DiscretePair:
         if p0.ndim != 1 or p0.shape != p1.shape or p0.size == 0:
             raise ValidationError("p0 and p1 must be 1-d arrays over one alphabet")
         for name, p in (("p0", p0), ("p1", p1)):
+            if np.isnan(p).any():
+                raise ValidationError(f"{name} has NaN entries")
             if np.any(p < -1e-15):
                 raise ValidationError(f"{name} has negative entries")
             if abs(p.sum() - 1.0) > 1e-12:

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import PrivacyBudget, _check_exp
 from .divergences import DiscretePair, DivergenceSpec
 from .errors import ValidationError
+from .mechanisms import alpha_from_budget
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,8 @@ class Channel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 1:
             raise ValidationError("channel needs a 2-d matrix with >= 2 input rows")
+        if np.isnan(m).any():
+            raise ValidationError("channel entries must not be NaN")
         if np.any(m < -1e-15):
             raise ValidationError("channel entries must be non-negative")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
@@ -55,17 +59,6 @@ class Channel:
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ValidationError('channel must be a JSON object with a "matrix" key')
         return cls(np.asarray(payload["matrix"], dtype=float))
-
-
-def _tanh_half(epsilon: float) -> float:
-    return math.tanh(epsilon / 2.0)
-
-
-def _check_joint(epsilon: float, eta: float):
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
-    if not 0.0 <= eta <= _tanh_half(epsilon) + 1e-12:
-        raise ValidationError("eta exceeds (e^eps-1)/(e^eps+1)")
 
 
 def ldp_epsilon(channel: Channel) -> float:
@@ -110,7 +103,8 @@ def q_star(epsilon: float, eta: float) -> Channel:
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
-    _check_joint(epsilon, eta)
+    PrivacyBudget.pure(epsilon, eta)
+    _check_exp(epsilon)
     em1 = math.expm1(epsilon)
     hi = eta * math.exp(epsilon) / em1
     lo = eta / em1
@@ -120,8 +114,8 @@ def q_star(epsilon: float, eta: float) -> Channel:
 
 def randomized_response(epsilon: float, num_symbols: int) -> Channel:
     """M-ary randomized response: keep the symbol w.p. e^eps/(e^eps+M-1)."""
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
+    PrivacyBudget.pure(epsilon)
+    _check_exp(epsilon)
     if num_symbols < 2:
         raise ValueError("randomized response needs at least 2 symbols")
     stay = math.exp(epsilon) / (math.exp(epsilon) + num_symbols - 1)
@@ -165,20 +159,21 @@ def erase_channel(channel: Channel, alpha: float) -> Channel:
 def max_fdiv(epsilon: float, eta: float, spec: DivergenceSpec) -> float:
     """Largest f-divergence between the rows of any channel in the joint
     class: eta (f(e^eps) + e^eps f(e^{-eps})) / (e^eps - 1)."""
-    _check_joint(epsilon, eta)
+    PrivacyBudget.pure(epsilon, eta)
+    _check_exp(epsilon)
     if abs(float(spec.f(np.asarray(1.0)))) > 1e-12:
         raise ValidationError("divergence generator must satisfy f(1) = 0")
-    if epsilon == 0.0:
-        return 0.0
     ee = math.exp(epsilon)
+    if ee == 1.0:  # epsilon of 0 to double precision
+        return 0.0
     return eta * (float(spec.f(np.asarray(ee))) + ee * float(spec.f(np.asarray(1.0 / ee)))) / (ee - 1.0)
 
 
 def kl_contraction_bound(epsilon: float, eta: float) -> float:
     """Largest KL contraction coefficient over the joint class:
     eta (e^eps-1)/(e^eps+1)."""
-    _check_joint(epsilon, eta)
-    return eta * _tanh_half(epsilon)
+    PrivacyBudget.pure(epsilon, eta)
+    return eta * math.tanh(epsilon / 2.0)
 
 
 def eta_kl_estimate(channel: Channel, beta_grid_size: int) -> float:
@@ -207,7 +202,8 @@ def eta_kl_estimate(channel: Channel, beta_grid_size: int) -> float:
 def chi2_output_bound(epsilon: float, eta: float, tv_in: float) -> float:
     """Bound on the output chi-squared divergence given the input TV:
     4 eta (e^eps-1)(e^{-eps}+1) tv_in^2."""
-    _check_joint(epsilon, eta)
+    PrivacyBudget.pure(epsilon, eta)
+    _check_exp(epsilon)
     if not 0.0 <= tv_in <= 1.0:
         raise ValidationError("tv_in must lie in [0, 1]")
     return 4.0 * eta * math.expm1(epsilon) * (math.exp(-epsilon) + 1.0) * tv_in * tv_in
@@ -218,8 +214,10 @@ def opt_conversion_factor(epsilon: float, eta: float) -> float:
     eta (e^eps+1)/(e^eps-1)."""
     if epsilon <= 0.0:
         raise ValidationError("conversion factor is defined only for epsilon > 0")
-    _check_joint(epsilon, eta)
-    return min(1.0, eta / _tanh_half(epsilon))
+    PrivacyBudget.pure(epsilon, eta)
+    cap = math.tanh(epsilon / 2.0)
+    # a cap that rounds to 0 (epsilon = 5e-324) holds eta = 0 or eta at it
+    return min(1.0, eta / cap) if cap > 0.0 else float(eta > 0.0)
 
 
 def be_ratio_lower_bound(epsilon: float, eta: float) -> float:
@@ -227,7 +225,8 @@ def be_ratio_lower_bound(epsilon: float, eta: float) -> float:
     to the optimum: eta / (2 (e^eps-1)(e^{-eps}+1))."""
     if epsilon <= 0.0:
         raise ValidationError("ratio bound is defined only for epsilon > 0")
-    _check_joint(epsilon, eta)
+    PrivacyBudget.pure(epsilon, eta)
+    _check_exp(epsilon)
     return eta / (2.0 * math.expm1(epsilon) * (math.exp(-epsilon) + 1.0))
 
 
@@ -240,8 +239,7 @@ def random_ldp_channel(
     row normalization contributes at most another e^{eps/2}, so the ratio
     bound holds by construction (no rejection loop needed).
     """
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
+    PrivacyBudget.pure(epsilon)
     raw = np.exp(0.5 * epsilon * rng.random((num_inputs, num_outputs)))
     return Channel(raw / raw.sum(axis=1, keepdims=True))
 
@@ -255,7 +253,6 @@ def random_joint_member(
 ) -> Channel:
     """Random member of the joint (epsilon, eta) class: a random epsilon-LDP
     channel followed by the erasure that enforces the TV budget."""
-    _check_joint(epsilon, eta)
+    budget = PrivacyBudget.pure(epsilon, eta)
     base = random_ldp_channel(rng, epsilon, num_inputs, num_outputs)
-    alpha = 1.0 - eta / _tanh_half(epsilon) if epsilon > 0.0 else 1.0
-    return erase_channel(base, min(1.0, max(0.0, alpha)))
+    return erase_channel(base, alpha_from_budget(budget) if epsilon > 0.0 else 1.0)

@@ -36,14 +36,7 @@ class DominatingSpec:
     def from_budget(cls, budget: PrivacyBudget) -> "DominatingSpec":
         """Spec realizing the budget with equality; eta = delta maps to
         alpha = 1 for any epsilon (all non-delta mass uninformative)."""
-        if budget.eta < budget.delta:
-            raise ValidationError(
-                "eta must be at least delta for a dominating mechanism"
-            )
-        if budget.eta == budget.delta:
-            alpha = 1.0
-        else:
-            alpha = alpha_from_budget(budget)
+        alpha = 1.0 if budget.eta == budget.delta else alpha_from_budget(budget)
         return cls(budget.epsilon, budget.delta, alpha)
 
 
@@ -67,12 +60,9 @@ class StaircaseSpec:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be positive")
-        if self.epsilon <= 0.0:
-            raise ValidationError("epsilon must be positive")
-        if self.sensitivity <= 0.0:
-            raise ValidationError("sensitivity must be positive")
+        for name in ("gamma", "epsilon", "sensitivity"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
 
     @property
     def a_gamma(self) -> float:
@@ -89,18 +79,19 @@ def alpha_from_budget(budget: PrivacyBudget) -> float:
     """Uninformative-symbol mass realizing the budget with equality.
 
     alpha = 1 - (eta - delta)(1 + e^eps) / ((1 - delta)(e^eps - 1)),
-    restricted to eps > 0 and delta <= eta <= feasibility cap.
+    restricted to eps > 0 and eta >= delta (the budget enforces the
+    feasibility cap).
     """
     eps, delta, eta = budget.epsilon, budget.delta, budget.eta
-    if eps <= 0.0:
-        raise ValidationError("alpha is undefined at epsilon = 0")
     if eta < delta:
         raise ValidationError("eta must be at least delta for a dominating mechanism")
-    if eta > budget.tv_cap + 1e-12:
-        raise ValidationError("eta exceeds delta + (1-delta)(e^eps-1)/(e^eps+1)")
-    if delta >= 1.0:
+    if eps <= 0.0:
+        raise ValidationError("alpha is undefined at epsilon = 0")
+    if eta == delta:
         return 1.0
-    alpha = 1.0 - (eta - delta) / ((1.0 - delta) * math.tanh(eps / 2.0))
+    cap = (1.0 - delta) * math.tanh(eps / 2.0)
+    # a cap that rounds to 0 leaves eta above it by float noise only
+    alpha = 1.0 - (eta - delta) / cap if cap > 0.0 else 0.0
     if alpha < 1e-12:  # eta at its cap up to float noise
         return 0.0
     if alpha > 1.0 - 1e-12:
@@ -112,25 +103,11 @@ def dominating_pure(epsilon: float, eta: float) -> DiscretePair:
     """Three-symbol pair meeting (epsilon, 0)-DP and eta-TV with equality.
 
     P0 = [(1-a) e^eps/(1+e^eps), a, (1-a)/(1+e^eps)] with the mirror image
-    for P1, where a = 1 - eta (e^eps+1)/(e^eps-1).
+    for P1, where a = 1 - eta (e^eps+1)/(e^eps-1): the inner three symbols
+    of the (epsilon, 0, eta) pair of ``dominating_approx``.
     """
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
-    if epsilon == 0.0:
-        if eta != 0.0:
-            raise ValidationError("epsilon = 0 forces eta = 0")
-        alpha = 1.0
-    else:
-        cap = math.tanh(epsilon / 2.0)
-        if not -1e-15 <= eta <= cap + 1e-12:
-            raise ValidationError("eta exceeds (e^eps-1)/(e^eps+1)")
-        alpha = min(1.0, max(0.0, 1.0 - max(eta, 0.0) / cap))
-        if alpha < 1e-12:
-            alpha = 0.0
-    hi = (1.0 - alpha) * expit(epsilon)
-    lo = (1.0 - alpha) * expit(-epsilon)
-    p0 = np.array([hi, alpha, lo])
-    return DiscretePair(p0, p0[::-1].copy())
+    pair = dominating_approx(PrivacyBudget(epsilon, 0.0, eta))
+    return DiscretePair(pair.p0[1:4], pair.p1[1:4])
 
 
 def dominating_approx(budget: PrivacyBudget) -> DiscretePair:
@@ -150,8 +127,8 @@ def dominating_approx(budget: PrivacyBudget) -> DiscretePair:
 
 def laplace_tv(epsilon: float) -> float:
     """Total variation of the Laplace mechanism: 1 - e^{-eps/2}."""
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
     return -math.expm1(-epsilon / 2.0)
 
 
@@ -186,6 +163,11 @@ def staircase_tv(spec: StaircaseSpec) -> float:
     at gamma = 1/2)."""
     gamma, q = spec.gamma, math.exp(-spec.epsilon)
     den = 2.0 * (gamma + q * (1.0 - gamma))
+    if not den > 0.0:  # gamma >> 1 cancels against q (1 - gamma) once q rounds to 1
+        raise ValidationError(
+            f"gamma = {gamma:.12g} is too large for epsilon = {spec.epsilon:.12g}: "
+            "the staircase normalizer rounds to 0"
+        )
     if gamma < 0.5:
         return (1.0 - q) * (2.0 * gamma * (1.0 - q) + q) / den
     return (1.0 - q) / den
@@ -222,8 +204,14 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
             )
     else:
         gamma = (p + 2.0 * q * alpha) / (2.0 * p * (1.0 - alpha))
-    if abs(staircase_tv(StaircaseSpec(gamma, epsilon)) - target) > 1e-10:
-        raise ValidationError("staircase solve did not reach the 1e-10 TV tolerance")
+    if not (
+        gamma < math.inf
+        and abs(staircase_tv(StaircaseSpec(gamma, epsilon)) - target) <= 1e-10
+    ):
+        raise ValidationError(
+            f"epsilon = {epsilon:.12g} is out of range: the staircase step width "
+            f"{gamma:.6g} misses the 1e-10 TV tolerance"
+        )
     return gamma
 
 

@@ -28,6 +28,10 @@ class TestLogSlopeFunctionals:
         assert kappa2(0.0, 0.0) == 0.0
         assert kappa3(0.0, 0.0) == 0.0
 
+    def test_kappa2_where_tanh_half_eps_underflows(self):
+        # tanh(5e-324 / 2) is 0, and so is eps^2
+        assert kappa2(5e-324, 1e-13) == 0.0
+
     def test_reference_values(self):
         assert kl_functional(1.0, ETA_REF) == pytest.approx(ETA_REF, abs=1e-12)
         assert kappa2(1.0, ETA_REF) == pytest.approx(0.7, abs=1e-6)

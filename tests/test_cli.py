@@ -226,6 +226,45 @@ class TestLdp:
         assert err.startswith("error: pair must be a JSON object") and err.count("\n") == 1
 
 
+PAIR = '{"p0": [0.7, 0.3], "p1": [0.2, 0.8]}'
+
+# Inputs that once printed NaN with exit 0 or ended in a traceback (overflow
+# of e^eps above eps = 709.78, or a division by an e^eps - 1 or tanh(eps/2)
+# that rounds to 0), each with the parameter its error must name, or None
+# where it now exits 0 with finite output.
+EDGE_ARGV = [
+    (["ldp", "check", "--channel", '{"matrix": [[NaN, 1], [0.5, 0.5]]}'], "NaN"),
+    (["ldp", "bemech", "--eps", "1", "--eta", "0.3", "--pair", '{"p0": [NaN, 1], "p1": [0.2, 0.8]}'], "p0 has NaN"),
+    (["mech", "tv", "--kind", "staircase", "--gamma=nan", "--eps=1"], "gamma"),
+    (["mech", "tv", "--kind", "laplace", "--eps=nan"], "epsilon"),
+    (["ldp", "qstar", "--eps", "inf", "--eta", "0.3"], "epsilon"),
+    (["ldp", "bemech", "--eps", "inf", "--eta", "0.3", "--pair", PAIR], "epsilon"),
+    (["ldp", "bounds", "--eps", "inf", "--eta", "0.3"], "epsilon"),
+    (["ldp", "qstar", "--eps=709.8", "--eta=5e-324"], "epsilon = 709.8"),
+    (["ldp", "bounds", "--eps=800", "--eta=0.3"], "epsilon = 800"),
+    (["ldp", "bemech", "--eps=800", "--eta=0.3", "--pair", PAIR], "epsilon = 800"),
+    (["amplify", "--eps=800", "--eta=1", "-p", "1"], "epsilon = 800"),
+    (["mech", "tv", "--kind", "staircase", "--gamma=1e308", "--eps=1e-20"], "gamma = 1e+308"),
+    (["ldp", "bounds", "--eps=1e-20", "--eta=0"], None),
+    (["ldp", "bounds", "--eps=5e-324", "--eta=0"], None),
+    (["mech", "pair", "--eps=5e-324", "--delta=0", "--eta=1e-20"], None),
+    (["compose", "--eps=5e-324", "--eta=1e-20", "-k", "12"], None),
+    (["clt", "--eps=5e-324", "--eta=5e-324", "-k", "6"], None),
+]
+
+
+@pytest.mark.parametrize("argv, names", EDGE_ARGV, ids=[" ".join(a[:4]) for a, _ in EDGE_ARGV])
+def test_edge_input_exits_2_naming_it_or_0_with_finite_output(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    if names is None:
+        assert code == 0 and err == ""
+        assert "nan" not in out and "inf" not in out
+        json.loads(out)
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
 class TestSgd:
     def test_small_run_json(self, capsys):
         code, out, _ = run(

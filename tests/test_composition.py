@@ -30,6 +30,7 @@ from tvdp import (
 )
 from tvdp.composition import _conv_power, _ledger_entries
 
+
 E = math.e
 ETA_REF = 0.323482
 BUDGET_REF = PrivacyBudget(1.0, 0.0, ETA_REF)
@@ -343,3 +344,13 @@ class TestLedgerSerialization:
         assert payload["k"] == 2
         assert [e["j"] for e in payload["entries"]] == [0, 1, 2]
         assert payload["eta"] == led.composed_eta
+
+
+@pytest.mark.parametrize("eps", np.geomspace(5e-4, 0.1, 6).tolist())
+@pytest.mark.parametrize("k", [1, 2, 7, 20, 60])
+def test_curve_tv_matches_mpmath_delta0(eps, k):
+    # tv() reads eta as 1 minus a sum of positive terms, so a small eta keeps
+    # its relative precision; 1 - min(t + f) over the vertices lost up to 2e-12
+    deltas, _ = composed_levels_mp(eps, 0.0, k)
+    got = ledger_to_curve(compose_kairouz(eps, 0.0, k)).tv()
+    assert abs(got - deltas[0]) <= 1e-14 * deltas[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvdp
 from tvdp import curves
 from tvdp import (
     DiscretePair,
@@ -45,6 +46,38 @@ class TestPrivacyBudget:
     def test_bad_ranges(self, eps, delta, eta):
         with pytest.raises(ValidationError):
             PrivacyBudget(eps, delta, eta)
+
+
+# Every entry point taking a pure (epsilon, eta) pair validates it by building
+# PrivacyBudget.pure, so each rejects exactly what that rejects.
+PURE_ENTRY_POINTS = {
+    "kl_functional": tvdp.kl_functional,
+    "kappa2": tvdp.kappa2,
+    "clt_mu": lambda eps, eta: tvdp.clt_mu([(eps, eta)]),
+    "clt_gap": lambda eps, eta: tvdp.clt_gap(eps, eta, 3),
+    "q_star": tvdp.q_star,
+    "max_fdiv": lambda eps, eta: tvdp.max_fdiv(eps, eta, tvdp.DivergenceSpec.kl()),
+    "kl_contraction_bound": tvdp.kl_contraction_bound,
+    "chi2_output_bound": lambda eps, eta: tvdp.chi2_output_bound(eps, eta, 0.5),
+    "opt_conversion_factor": tvdp.opt_conversion_factor,
+    "be_ratio_lower_bound": tvdp.be_ratio_lower_bound,
+    "random_joint_member": lambda eps, eta: tvdp.random_joint_member(
+        np.random.default_rng(0), eps, eta, 2, 3
+    ),
+    "dominating_pure": tvdp.dominating_pure,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "eps, eta",
+    [(-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.3), (1.0, math.tanh(0.5) + 2e-12)],
+)
+def test_pure_entry_points_share_the_budget_checks(name, eps, eta):
+    with pytest.raises(ValidationError):
+        PrivacyBudget.pure(eps, eta)
+    with pytest.raises(ValidationError):
+        PURE_ENTRY_POINTS[name](eps, eta)
 
 
 class TestCurveInvariants:

@@ -45,6 +45,12 @@ class TestDiscretePair:
         with pytest.raises(ValidationError):
             DiscretePair(np.array([1.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("p0, p1", [([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, math.nan])])
+    def test_nan_checked(self, p0, p1):
+        # NaN compares False, so it passes the sign and sum checks
+        with pytest.raises(ValidationError, match="NaN"):
+            DiscretePair(np.array(p0), np.array(p1))
+
 
 class TestFDivergence:
     def test_zero_on_equal(self):

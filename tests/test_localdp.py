@@ -43,6 +43,10 @@ class TestChannel:
         with pytest.raises(ValidationError):
             Channel(np.array([[1.0, 0.0]]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            Channel(np.array([[math.nan, 1.0], [0.5, 0.5]]))
+
     @pytest.mark.parametrize("payload", [[[1.0]], 3, {"rows": [[1.0]]}])
     def test_from_dict_needs_matrix_object(self, payload):
         with pytest.raises(ValidationError, match="matrix"):

@@ -131,6 +131,11 @@ class TestLaplace:
         with pytest.raises(ValidationError):
             laplace_tv(0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_nan_and_inf_rejected(self, eps):
+        with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+            laplace_tv(eps)
+
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     def test_against_quadrature(self, eps):
         assert laplace_tv(eps) == pytest.approx(laplace_tv_quadrature(eps), abs=1e-6)
@@ -204,6 +209,19 @@ class TestStaircase:
         with pytest.raises(ValidationError):
             StaircaseSpec(-0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "gamma, eps, sensitivity",
+        [(math.nan, 1.0, 1.0), (0.3, math.nan, 1.0), (0.3, 1.0, math.nan), (math.inf, 1.0, 1.0), (0.3, math.inf, 1.0)],
+    )
+    def test_nan_and_inf_rejected(self, gamma, eps, sensitivity):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            StaircaseSpec(gamma, eps, sensitivity)
+
+    def test_cancelling_normalizer_names_gamma(self):
+        # e^-eps rounds to 1, so gamma + e^-eps (1 - gamma) cancels to 0
+        with pytest.raises(ValidationError, match=r"gamma = 1e\+308 .*epsilon = 1e-20"):
+            staircase_tv(StaircaseSpec(1e308, 1e-20))
+
 
 class TestStaircaseGammaForAlpha:
     def test_alpha_zero_gives_half(self):
@@ -249,6 +267,12 @@ class TestStaircaseGammaForAlpha:
 
     def test_subnormal_step_width_at_720(self):
         assert staircase_gamma_for_alpha(720.0, 0.3) == pytest.approx(1.35482053495e-313, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [724.25, 730.0, 744.0])
+    def test_coarse_subnormal_step_width_names_epsilon_and_width(self, eps):
+        # the width is subnormal with too few bits left to meet the TV tolerance
+        with pytest.raises(ValidationError, match=rf"epsilon = {eps:g} .*step width \d\S*e-3\d\d"):
+            staircase_gamma_for_alpha(eps, 0.3)
 
     @pytest.mark.parametrize("eps", [745.0, 800.0])
     def test_underflowing_step_width_names_epsilon(self, eps):
