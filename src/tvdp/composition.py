@@ -61,11 +61,7 @@ class CompositionLedger:
     method: str = "exact"
 
     def __post_init__(self):
-        deltas = [e.delta for e in self.entries]
-        if any(not 0.0 <= d <= 1.0 for d in deltas):
-            raise ValidationError("ledger deltas must lie in [0, 1]")
-        if any(b > a + 1e-9 for a, b in zip(deltas, deltas[1:])):
-            raise ValidationError("ledger deltas must be non-increasing in j")
+        _check_deltas(np.array([e.delta for e in self.entries]))
 
     def as_dict(self) -> dict:
         return {
@@ -77,10 +73,23 @@ class CompositionLedger:
         }
 
 
+def _check_deltas(deltas: np.ndarray) -> None:
+    """The ledger invariant: every delta_j in [0, 1], non-increasing in j."""
+    if not np.all((deltas >= 0.0) & (deltas <= 1.0)):
+        raise ValidationError("ledger deltas must lie in [0, 1]")
+    if np.any(deltas[1:] > deltas[:-1] + 1e-9):
+        raise ValidationError("ledger deltas must be non-increasing in j")
+
+
 def _check_k(k) -> int:
     if not float(k).is_integer() or k < 1:
         raise ValueError("k must be an integer >= 1")
     return int(k)
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
 
 
 def _validate_composable(budget: PrivacyBudget):
@@ -169,12 +178,14 @@ def _log_tail_sums(log_w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     return log_delta, log_keep
 
 
-def _ledger_entries(k: int, eps: float, delta: float, alpha: float):
-    """Ledger entries j = 0..k: the kernel behind every composition ledger.
+def _ledger_columns(k: int, eps: float, delta: float, alpha: float):
+    """(log(1 - delta_j), clamped_j) for j = 0..k: the kernel behind every
+    composition ledger and curve.
 
     log(1 - delta_j) comes from the delta_j sum while delta_j < 1/2 and from
     its own sum beyond that; the 1 - (1-delta)^k (1-delta_j) wrapper then
-    gives both fields of each entry from that one value.
+    gives the composed value.  clamped_j flags a log(1 - delta_j) that
+    rounded above 0 and was clipped.
     """
     log_delta, log_keep = _log_tail_sums(_level_log_masses(k, eps, alpha), eps)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,19 +193,31 @@ def _ledger_entries(k: int, eps: float, delta: float, alpha: float):
             log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
         )
     log_wrap = k * math.log1p(-delta) if delta < 1.0 else -math.inf
-    entries = []
-    for j, log_kj in enumerate(inner.tolist()):
-        raw = log_wrap + min(log_kj, 0.0)
-        entries.append(
-            LedgerEntry(
-                j,
-                j * eps,
-                -math.expm1(raw),
-                clamped=log_kj > 0.0,
-                log_one_minus_delta=raw,
-            )
-        )
-    return tuple(entries)
+    clamped = inner > 0.0
+    return log_wrap + np.where(clamped, 0.0, inner), clamped
+
+
+def _ledger_entries(k: int, eps: float, delta: float, alpha: float):
+    """Ledger entries j = 0..k: the kernel's columns as ``LedgerEntry``s."""
+    log_keep, clamped = _ledger_columns(k, eps, delta, alpha)
+    return tuple(
+        LedgerEntry(j, j * eps, -math.expm1(raw), clamped=flag, log_one_minus_delta=raw)
+        for j, (raw, flag) in enumerate(zip(log_keep.tolist(), clamped.tolist()))
+    )
+
+
+def _column_curve(
+    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
+) -> tuple[TradeoffCurve, float]:
+    """The curve and composed eta of the ledger of the kernel's entries at
+    ``levels``, straight from its columns: what ``ledger_to_curve`` and
+    ``composed_eta`` give on that ledger, under the same delta invariant,
+    with no ``LedgerEntry`` built."""
+    log_keep, _ = _ledger_columns(k, eps, delta, alpha)
+    kept = log_keep[levels]
+    _check_deltas(-np.expm1(kept))
+    eps_j = np.arange(k + 1)[levels] * eps
+    return _lines_to_curve(eps_j, kept), -math.expm1(log_keep[0])
 
 
 def _budget_ledger(budget: PrivacyBudget, k: int, method: str) -> CompositionLedger:
@@ -233,28 +256,42 @@ def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     return CompositionLedger(
         k=k,
         base=base,
-        entries=entries[k % 2 :: 2],
+        entries=entries[_kairouz_levels(k)],
         composed_eta=entries[0].delta,
         method="kairouz",
     )
 
 
-def _entries_to_curve(entries) -> TradeoffCurve:
+def _kairouz_levels(k: int) -> slice:
+    """The levels j of the TV-blind ledger: those with the parity of k."""
+    return slice(k % 2, None, 2)
+
+
+def _kairouz_curve(epsilon: float, delta: float, k: int) -> TradeoffCurve:
+    """``ledger_to_curve(compose_kairouz(epsilon, delta, k))`` from the
+    kernel's columns."""
+    PrivacyBudget.from_dp(epsilon, delta)
+    return _column_curve(k, epsilon, delta, 0.0, _kairouz_levels(k))[0]
+
+
+def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
     """Envelope of f >= (1-delta_j) - e^eps_j t and f >= e^-eps_j (1-delta_j-t),
-    as lines in log coordinates (slopes of any steepness are exact)."""
-    eps = np.array([e.epsilon for e in entries])
-    # the log form keeps intercepts alive once delta_j rounds to 1
-    log_keep = np.array(
-        [
-            e.log_one_minus_delta
-            if e.log_one_minus_delta is not None
-            else (math.log1p(-e.delta) if e.delta < 1.0 else -math.inf)
-            for e in entries
-        ]
-    )
+    as lines in log coordinates (slopes of any steepness are exact); the
+    log form keeps intercepts alive once delta_j rounds to 1."""
     return _upper_envelope(
-        np.concatenate((eps, -eps)), np.concatenate((log_keep, log_keep - eps))
+        np.concatenate((eps_j, -eps_j)), np.concatenate((log_keep, log_keep - eps_j))
     )
+
+
+def _entries_to_curve(entries) -> TradeoffCurve:
+    """``_lines_to_curve`` of ledger entries."""
+    log_keep = [
+        e.log_one_minus_delta
+        if e.log_one_minus_delta is not None
+        else (math.log1p(-e.delta) if e.delta < 1.0 else -math.inf)
+        for e in entries
+    ]
+    return _lines_to_curve(np.array([e.epsilon for e in entries]), np.array(log_keep))
 
 
 def ledger_to_curve(ledger: CompositionLedger) -> TradeoffCurve:
@@ -434,6 +471,16 @@ def compose_types_approx(
     the result.
     """
     k = _check_k(k)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _budget_ledger(budget, k, "types")
+
+
+def _types_curve(
+    budget: PrivacyBudget, k: int, tol: float
+) -> tuple[TradeoffCurve, float]:
+    """``ledger_to_curve`` and ``composed_eta`` of
+    ``compose_types_approx(budget, k, tol)`` from the kernel's columns."""
+    _check_tol(tol)
+    _validate_composable(budget)
+    alpha = DominatingSpec.from_budget(budget).alpha
+    return _column_curve(k, budget.epsilon, budget.delta, alpha)

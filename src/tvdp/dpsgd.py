@@ -2,15 +2,18 @@
 
 Each grid epsilon yields a per-step (epsilon, delta(epsilon), eta) budget;
 the budgets compose over the run's step count and the resulting regions
-are intersected.  The per-step mu is an input: deriving it from noise
-multiplier and sampling rate is out of scope here.
+are intersected.  Each composed curve and TV is built straight from the
+composition kernel's columns, under the checks the public ledgers run,
+so no ``CompositionLedger`` or ``LedgerEntry`` is made along the way.  The
+per-step mu is an input: deriving it from noise multiplier and sampling
+rate is out of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .composition import compose_kairouz, compose_types_approx, ledger_to_curve
+from .composition import _kairouz_curve, _types_curve
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
@@ -91,15 +94,15 @@ def _per_epsilon_curves(config: SgdConfig, tol: float):
     records = []
     for eps in config.epsilon_grid:
         budget, clamped = _step_budget_info(config.step_mu, eps)
-        ledger = compose_types_approx(budget, k, tol=tol)
+        curve, composed_tv = _types_curve(budget, k, tol)
         records.append(
             {
                 "epsilon": eps,
                 "delta": budget.delta,
                 "eta": budget.eta,
                 "eta_clamped": clamped,
-                "composed_tv": ledger.composed_eta,
-                "curve": ledger_to_curve(ledger),
+                "composed_tv": composed_tv,
+                "curve": curve,
             }
         )
     return records
@@ -112,12 +115,12 @@ def sgd_region(config: SgdConfig, tol: float = 1e-6) -> TradeoffCurve:
 
 def sgd_region_baseline(config: SgdConfig) -> TradeoffCurve:
     """Same pipeline with the TV-blind baseline composition."""
-    k = config.steps
-    curves = []
-    for eps in config.epsilon_grid:
-        delta = gaussian_delta(config.step_mu, eps)
-        curves.append(ledger_to_curve(compose_kairouz(eps, delta, k)))
-    return intersect(curves)
+    return intersect(
+        [
+            _kairouz_curve(eps, gaussian_delta(config.step_mu, eps), config.steps)
+            for eps in config.epsilon_grid
+        ]
+    )
 
 
 def sgd_compare(

@@ -185,7 +185,9 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
     1/(2T) - q/p.  Both are evaluated with T substituted, since p - T
     rounds to 0 at large eps once alpha is below an ulp of 1.  Where
     e^-eps (1 - 2 alpha) / (2 alpha) is below the smallest subnormal (eps of
-    about 744 at alpha = 0.3) the narrow root underflows to 0, which raises.
+    about 744 at alpha = 0.3) the narrow root underflows to 0, and where
+    2p (1 - alpha) underflows (eps below about 1e-308 with alpha near 1) the
+    wide root overflows; both raise.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -203,7 +205,13 @@ def staircase_gamma_for_alpha(epsilon: float, alpha: float) -> float:
                 "of order e^-epsilon, underflows to 0"
             )
     else:
-        gamma = (p + 2.0 * q * alpha) / (2.0 * p * (1.0 - alpha))
+        den = 2.0 * p * (1.0 - alpha)
+        if den == 0.0:
+            raise ValidationError(
+                f"epsilon = {epsilon:.12g} is too small: the staircase step width, "
+                "of order 1/(epsilon (1 - alpha)), overflows"
+            )
+        gamma = (p + 2.0 * q * alpha) / den
     if not (
         gamma < math.inf
         and abs(staircase_tv(StaircaseSpec(gamma, epsilon)) - target) <= 1e-10

@@ -116,27 +116,26 @@ def random_pair(rng: np.random.Generator, size: int, full_support: bool = False)
     return rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))
 
 
-def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
-    """(delta_j, 1 - delta_j) for j = 0..k of the k-fold product of the pure
-    dominating pair, as mpmath numbers at ``dps`` digits.
+def _pair_masses_mp(epsilon, alpha):
+    """(p, q): the dominating pair's eps-likely and unlikely symbol masses."""
+    import mpmath
 
-    The pair draws symbol 0 with probability (1-alpha) e^eps / (1+e^eps),
-    symbol 1 with (1-alpha) / (1+e^eps) and an erasure with alpha under p0;
-    p1 swaps symbols 0 and 1.  The mass W(m) of the privacy-loss level
-    m*eps is summed from binomial terms by their ratio recurrence, and then
-    delta_j = sum_{m>j} W(m) - e^{j eps} sum_{m>j} W(m) e^{-m eps} and
-    1 - delta_j = sum_{m<=j} W(m) + e^{j eps} sum_{m>j} W(m) e^{-m eps}.
-    The working precision absorbs the subtraction, whose terms exceed
-    delta_j by at most 1/(1-e^-eps).
-    """
+    p = (1 - alpha) * mpmath.exp(epsilon) / (1 + mpmath.exp(epsilon))
+    q = (1 - alpha) / (1 + mpmath.exp(epsilon))
+    return p, q
+
+
+def level_masses_loop_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
+    """W(m) at index m + k, summed over erasure counts a and unlikely-symbol
+    counts l from binomial terms by their ratio recurrence: O(k^2) when
+    alpha > 0, O(k) at alpha = 0."""
     import mpmath
 
     with mpmath.workdps(dps):
         eps, alpha = mpmath.mpf(epsilon), mpmath.mpf(alpha)
-        p = (1 - alpha) * mpmath.exp(eps) / (1 + mpmath.exp(eps))
-        q = (1 - alpha) / (1 + mpmath.exp(eps))
+        p, q = _pair_masses_mp(eps, alpha)
         q_over_p = q / p if p else mpmath.mpf(0)  # alpha = 1: p = q = 0
-        mass = [mpmath.mpf(0)] * (2 * k + 1)  # W(m) at index m + k
+        mass = [mpmath.mpf(0)] * (2 * k + 1)
         erase = mpmath.mpf(1)  # C(k, a) alpha^a
         for a in range(k + 1 if alpha else 1):
             term = erase * p ** (k - a)  # C(k-a, l) p^(k-a-l) q^l at l = 0
@@ -144,6 +143,60 @@ def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
                 mass[2 * k - a - 2 * l] += term
                 term = term * (k - a - l) / (l + 1) * q_over_p
             erase = erase * (k - a) / (a + 1) * alpha
+        return mass
+
+
+def level_masses_recurrence_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
+    """W(m) at index n = m + k for 0 < alpha < 1, in O(k).
+
+    W(m) is the coefficient c_n of x^n in (q + alpha x + p x^2)^k, and
+    differentiating the power gives
+        q (n+1) c_{n+1} = alpha (k-n) c_n + p (2k-n+1) c_{n-1}.
+    Every term is positive when run forward from c_0 = q^k for n < k, and
+    when solved for c_{n-1} and run backward from c_{2k} = p^k for n > k,
+    so each side is stable; the two runs must meet at n = k.  mpmath's
+    exponents do not overflow, so no scaling is needed.
+    """
+    import mpmath
+
+    assert 0 < alpha < 1
+    with mpmath.workdps(dps):
+        eps, alpha = mpmath.mpf(epsilon), mpmath.mpf(alpha)
+        p, q = _pair_masses_mp(eps, alpha)
+        zero = mpmath.mpf(0)
+        c = [zero] * (2 * k + 1)
+        c[0], c[2 * k] = q**k, p**k
+        for n in range(k):
+            below = c[n - 1] if n else zero
+            c[n + 1] = (alpha * (k - n) * c[n] + p * (2 * k - n + 1) * below) / (q * (n + 1))
+        forward = c[k]
+        for n in range(2 * k, k, -1):
+            above = c[n + 1] if n < 2 * k else zero
+            c[n - 1] = (q * (n + 1) * above + alpha * (n - k) * c[n]) / (p * (2 * k - n + 1))
+        assert abs(forward / c[k] - 1) <= mpmath.mpf(10) ** (5 - dps), (forward, c[k])
+        return c
+
+
+def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
+    """(delta_j, 1 - delta_j) for j = 0..k of the k-fold product of the pure
+    dominating pair, as mpmath numbers at ``dps`` digits.
+
+    The pair draws symbol 0 with probability (1-alpha) e^eps / (1+e^eps),
+    symbol 1 with (1-alpha) / (1+e^eps) and an erasure with alpha under p0;
+    p1 swaps symbols 0 and 1.  The masses W(m) of the privacy-loss levels
+    m*eps come from ``level_masses_recurrence_mp`` when 0 < alpha < 1 and
+    from ``level_masses_loop_mp`` otherwise, where it is O(k); then
+    delta_j = sum_{m>j} W(m) - e^{j eps} sum_{m>j} W(m) e^{-m eps} and
+    1 - delta_j = sum_{m<=j} W(m) + e^{j eps} sum_{m>j} W(m) e^{-m eps}.
+    The working precision absorbs the subtraction, whose terms exceed
+    delta_j by at most 1/(1-e^-eps).
+    """
+    import mpmath
+
+    levels = level_masses_recurrence_mp if 0 < alpha < 1 else level_masses_loop_mp
+    mass = levels(epsilon, alpha, k, dps)  # W(m) at index m + k
+    with mpmath.workdps(dps):
+        eps = mpmath.mpf(epsilon)
         above = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m), j = -1..k
         tilted = [mpmath.mpf(0)] * (k + 2)  # sum_{m > j} W(m) e^{-m eps}
         for j in range(k - 1, -2, -1):

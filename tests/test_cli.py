@@ -307,6 +307,14 @@ class TestSgd:
         assert code == 2 and out == ""
         assert err.startswith("error: --eps-") and err.count("\n") == 1
 
+    def test_zero_tol_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "sgd", "--n", "6000", "--batch", "1000", "--epochs", "1", "--mu", "0.8",
+            "--eps-from", "0.5", "--eps-to", "1", "--eps-step", "0.5", "--tol", "0",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: tol must be positive\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -5,7 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import composed_levels_mp, product_tv
+from oracles import (
+    composed_levels_mp,
+    level_masses_loop_mp,
+    level_masses_recurrence_mp,
+    product_tv,
+)
 from tvdp import (
     CapacityError,
     DiscretePair,
@@ -310,6 +315,8 @@ class TestPrecisionAgainstMpmath:
             # alphas that no budget rounds to reach the kernel directly
             (DominatingSpec(1.0, 0.0, 1e-300), 200),
             (DominatingSpec(1.0, 0.0, 5e-324), 200),
+            (PrivacyBudget(1.0, 0.0, 0.3), 3516),  # the C12 step count
+            (PrivacyBudget(1.0, 0.0, 0.3), 10_000),
         ],
     )
     def test_relative_error(self, budget, k):
@@ -335,6 +342,30 @@ class TestPrecisionAgainstMpmath:
                 assert abs(mpmath.expm1(log_ratio)) <= bound, entry.j
                 checked += 1
         assert checked >= k // 2
+
+
+class TestLevelMassReference:
+    # the O(k) two-sided recurrence behind composed_levels_mp at alpha > 0
+    # stays checked against the O(k^2) binomial double sum
+    @pytest.mark.parametrize(
+        "eps, alpha, k",
+        [
+            (1.0, 0.35, 200),
+            (1.0, 0.3, 37),
+            (3.4, 0.9, 200),
+            (0.01, 8.3e-6, 150),
+            (0.5, 0.999999, 100),
+            (1.0, 5e-324, 200),
+            (2.0, 0.5, 1),
+        ],
+    )
+    def test_recurrence_matches_double_sum(self, eps, alpha, k):
+        fast = level_masses_recurrence_mp(eps, alpha, k)
+        slow = level_masses_loop_mp(eps, alpha, k)
+        with mpmath.workdps(40):
+            for n, (a, b) in enumerate(zip(fast, slow)):
+                assert b > 0, n
+                assert abs(a / b - 1) <= mpmath.mpf("1e-35"), n
 
 
 class TestLedgerSerialization:

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+import tvdp.composition
 from tvdp import (
     SgdConfig,
     ValidationError,
+    compose_kairouz,
     compose_types_approx,
     curve_from_budget,
     dominating_approx,
     gaussian_delta,
     gaussian_tv,
+    intersect,
     ledger_to_curve,
     min_gap,
     max_gap,
@@ -20,6 +25,7 @@ from tvdp import (
     strict_improvement,
     sup_norm,
 )
+from tvdp.dpsgd import _per_epsilon_curves
 
 MU = 1 / 1.3
 
@@ -176,3 +182,56 @@ class TestOrderOfIntersection:
         combined = _entries_to_curve(merged_entries)
         per_curve = sgd_region(cfg)
         assert sup_norm(combined, per_curve) <= 1e-12
+
+
+class TestColumnPathMatchesLedgers:
+    # sgd_compare builds its curves from the kernel's columns; each must be
+    # the very curve the checked public ledger path gives
+    CONFIGS = [
+        SgdConfig(600, 100, 1.0, 0.6, (0.5, 1.0, 2.0)),  # 6 steps
+        SgdConfig(600, 100, 1.0, 0.01, (0.05, 0.5)),  # a composed TV near 0.02
+        SgdConfig(6000, 100, 1.0, MU, (0.1, 0.7, 1.9, 3.4)),  # 60 steps
+        SgdConfig(60_000, 1024, 15.0, 0.871942, (0.5, 1.2, 2.3, 3.4)),  # 879 steps
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"k{c.steps}")
+    def test_grid_curves_equal_ledger_curves(self, config):
+        for record in _per_epsilon_curves(config, 1e-6):
+            budget = step_budget(config.step_mu, record["epsilon"])
+            ledger = compose_types_approx(budget, config.steps)
+            expected = ledger_to_curve(ledger)
+            for name in ("_lt", "_lf", "_lm", "_lb"):
+                assert np.array_equal(getattr(record["curve"], name), getattr(expected, name))
+            assert record["composed_tv"] == ledger.composed_eta
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"k{c.steps}")
+    def test_baseline_equals_kairouz_ledger_curves(self, config):
+        expected = intersect(
+            [
+                ledger_to_curve(
+                    compose_kairouz(e, gaussian_delta(config.step_mu, e), config.steps)
+                )
+                for e in config.epsilon_grid
+            ]
+        )
+        got = sgd_region_baseline(config)
+        for name in ("_lt", "_lf", "_lm", "_lb"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+    def test_sgd_compare_builds_no_ledger_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ledger object built")
+
+        monkeypatch.setattr(tvdp.composition, "LedgerEntry", refuse)
+        monkeypatch.setattr(tvdp.composition, "CompositionLedger", refuse)
+        rep = sgd_compare(small_config())
+        assert rep["dominance"]["strict"] is True
+        with pytest.raises(AssertionError, match="ledger object built"):
+            compose_types_approx(step_budget(MU, 1.0), 3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("run", [sgd_compare, sgd_region], ids=["compare", "region"])
+def test_non_positive_tol_rejected(run, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        run(small_config(), tol=tol)

@@ -280,6 +280,24 @@ class TestStaircaseGammaForAlpha:
         with pytest.raises(ValidationError, match=rf"epsilon = {eps:g} .*underflows to 0"):
             staircase_gamma_for_alpha(eps, 0.3)
 
+    def test_overflowing_wide_root_names_epsilon(self):
+        # 2p (1 - alpha) underflows to 0, so the wide root would divide by it
+        with pytest.raises(ValidationError, match=r"epsilon = \S+ is too small"):
+            staircase_gamma_for_alpha(1e-320, 0.999999)
+
+    def test_subnormal_eps_sweep_raises_only_validation_errors(self):
+        alphas = (0.0, 1e-6, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
+        for eps in np.geomspace(1e-320, 1e-300, 60).tolist():
+            for alpha in alphas:
+                try:
+                    g = staircase_gamma_for_alpha(eps, alpha)
+                except ValidationError as exc:
+                    assert "epsilon = " in str(exc)
+                    continue
+                target = (1.0 - alpha) * math.tanh(eps / 2.0)
+                assert 0.0 < g < math.inf
+                assert abs(staircase_tv(StaircaseSpec(g, eps)) - target) <= 1e-10
+
     @pytest.mark.parametrize("eps", [1e-6, 0.01, 1.0, 30.0])
     def test_branch_point_takes_wide_root(self, eps):
         # at 2T = p the narrow root has shrunk to 0, so the wide root gamma = 1 is taken
