@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .composition import compose_exact, ledger_to_curve
 from .curves import PrivacyBudget
@@ -46,6 +45,9 @@ def g_mu(mu: float, alpha):
     a = np.asarray(alpha, dtype=float)
     if np.any(a < -1e-12) or np.any(a > 1.0 + 1e-12):
         raise ValidationError("alpha must lie in [0, 1]")
+    # deferred: importing scipy.special takes longer than all of tvdp's other imports
+    from scipy.special import ndtr, ndtri
+
     vals = ndtr(ndtri(1.0 - np.clip(a, 0.0, 1.0)) - mu)
     return float(vals) if np.isscalar(alpha) or a.ndim == 0 else vals
 

@@ -55,6 +55,14 @@ class DiscretePair:
         return DiscretePair(self.p1, self.p0)
 
 
+def _kl_generator(t):
+    return t * np.log(t)
+
+
+def _chi2_generator(t):
+    return (t - 1.0) ** 2
+
+
 @dataclass(frozen=True)
 class DivergenceSpec:
     """A convex generator f with f(1) = 0 plus the limits needed at the
@@ -77,11 +85,11 @@ class DivergenceSpec:
 
     @classmethod
     def kl(cls) -> "DivergenceSpec":
-        return cls("kl", lambda t: t * np.log(t), 0.0, math.inf)
+        return cls("kl", _kl_generator, 0.0, math.inf)
 
     @classmethod
     def chi_squared(cls) -> "DivergenceSpec":
-        return cls("chi2", lambda t: (t - 1.0) ** 2, 1.0, math.inf)
+        return cls("chi2", _chi2_generator, 1.0, math.inf)
 
     @classmethod
     def le_cam(cls, beta: float) -> "DivergenceSpec":

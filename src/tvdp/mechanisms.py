@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .curves import PrivacyBudget, TradeoffCurve, curve_from_budget
 from .divergences import DiscretePair
@@ -99,6 +98,15 @@ def alpha_from_budget(budget: PrivacyBudget) -> float:
     return alpha
 
 
+def _expit(x: float) -> float:
+    """Logistic function 1 / (1 + e^-x), bit-identical to scipy.special.expit;
+    0.0 where e^-x overflows, as there."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def dominating_pure(epsilon: float, eta: float) -> DiscretePair:
     """Three-symbol pair meeting (epsilon, 0)-DP and eta-TV with equality.
 
@@ -119,8 +127,8 @@ def dominating_approx(budget: PrivacyBudget) -> DiscretePair:
     """
     spec = DominatingSpec.from_budget(budget)
     eps, delta, alpha = spec.epsilon, spec.delta, spec.alpha
-    hi = (1.0 - delta) * (1.0 - alpha) * expit(eps)
-    lo = (1.0 - delta) * (1.0 - alpha) * expit(-eps)
+    hi = (1.0 - delta) * (1.0 - alpha) * _expit(eps)
+    lo = (1.0 - delta) * (1.0 - alpha) * _expit(-eps)
     p0 = np.array([delta, hi, alpha * (1.0 - delta), lo, 0.0])
     return DiscretePair(p0, p0[::-1].copy())
 
@@ -146,6 +154,9 @@ def gaussian_delta(params, epsilon: float) -> float:
         raise ValidationError("epsilon must be >= 0")
     if mu == 0.0:
         return 0.0
+    # deferred: importing scipy.special takes longer than all of tvdp's other imports
+    from scipy.special import log_ndtr
+
     log_a = float(log_ndtr(-epsilon / mu + mu / 2.0))
     log_b = epsilon + float(log_ndtr(-epsilon / mu - mu / 2.0))
     if log_b >= log_a:

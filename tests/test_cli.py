@@ -1,9 +1,11 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,108 @@ def _fresh_python(*args):
 def test_import_leaves_scipy_optimize_unloaded():
     probe = "import sys, tvdp.cli; print('scipy.optimize' in sys.modules)"
     assert _fresh_python("-c", probe).stdout.strip() == "False"
+
+
+# Every CLI example of the README with the sha256 of its stdout, which must
+# stay byte-identical.
+README_EXAMPLES = [
+    ("region", ["region", "--eps", "1", "--delta", "0", "--eta", "0.323482"],
+     "a7825bcb10f5187f60d964b5a664678add06f0a2f681f3ffd0aabac4230b3a16"),
+    ("region-csv", ["region", "--eps", "1", "--eta", "0.323482", "--out", "csv", "--grid", "101"],
+     "30863678f706da5df1ae6c13ef45f6a43bbb72566866dbd9d225124b7276a4d0"),
+    ("compose", ["compose", "--eps", "1", "--delta", "0", "--eta", "0.323482", "-k", "8"],
+     "980a338e42791080242464602581fe49a8e1308e77300958bb968a401dc1ac2c"),
+    ("compose-types", ["compose", "--eps", "1", "--eta", "0.3", "-k", "2000", "--mode", "types"],
+     "c843065afc438659ede8a967f799c3cbb9c9731dac24266be7d11b2e1c468efd"),
+    ("compose-kairouz", ["compose", "--eps", "1", "--delta", "0", "-k", "8", "--baseline", "kairouz"],
+     "e670d29e52f712db2333c9ec76f1f1d6bfa357ef605ee8308cce0d2442e4ebcc"),
+    ("amplify", ["amplify", "--eps", "1", "--delta", "0", "--eta", "0.323482", "-p", "0.1"],
+     "10ed24a428dd65324f41aedc33fb185b65100ce2be1b226a4b9b8373b9886888"),
+    ("clt", ["clt", "--eps", "0.01", "--eta", "0.0049999", "-k", "10000"],
+     "9fa806c5dac142dae79dfbf01e9d4ad6e9cd8c98954f70f4bd1dea7b36091107"),
+    ("mech-tv-laplace", ["mech", "tv", "--kind", "laplace", "--eps", "1"],
+     "56fc32bcbcd0d01942aa10cc17dbd9b8cc5f6fe7a2c120521256b6da2a7b5069"),
+    ("mech-tv-gaussian", ["mech", "tv", "--kind", "gaussian", "--mu", "0.7692307692"],
+     "24127a6c1ad599159d5145ae530eab50492a2c860d125e2d7aa8a7424c010bc2"),
+    ("mech-tv-staircase", ["mech", "tv", "--kind", "staircase", "--gamma", "0.0139", "--eps", "1"],
+     "3de5488f0c2610a136a63eeda5b47e03d5fcbe0fce409e214257401af30e8e54"),
+    ("mech-pair", ["mech", "pair", "--eps", "1", "--delta", "0.1", "--eta", "0.4"],
+     "36bf785d3072a09e02137b91c680bfd9bb687810550a8dc6bddca21165ecfc4f"),
+    ("ldp-qstar", ["ldp", "qstar", "--eps", "1", "--eta", "0.3"],
+     "f242b7e3a74e1987c0e40f0ebcabe3ae5a64e2de85135761a2c04257313cfce0"),
+    ("ldp-check", ["ldp", "check", "--channel", '{"matrix": [[0.7, 0.3], [0.3, 0.7]]}'],
+     "c17b18ba416345d9d7d58c1464fe8a5d44396a53d4effe5a783fc0e93431605f"),
+    ("ldp-bemech", ["ldp", "bemech", "--eps", "1", "--eta", "0.3", "--pair", PAIR],
+     "f242b7e3a74e1987c0e40f0ebcabe3ae5a64e2de85135761a2c04257313cfce0"),
+    ("ldp-bounds", ["ldp", "bounds", "--eps", "1", "--eta", "0.3"],
+     "c5463276a07351eb06e84e034d93b1f7209525002a8f5beee83139349864ccc5"),
+    ("sgd-csv", ["sgd", "--n", "60000", "--batch", "256", "--epochs", "15", "--mu", "0.7692307692",
+                 "--eps-from", "0.5", "--eps-to", "3.4", "--eps-step", "0.1", "--out", "csv"],
+     "3d00ae49b807e5982471125c9899122185bad506568af6c99c340d2b04808485"),
+]
+# The examples that need a special function (Phi for the Gaussian profile,
+# Phi and its inverse for G_mu) and so load scipy.special.
+SCIPY_EXAMPLES = {"clt", "mech-tv-gaussian", "sgd-csv"}
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [e[1:] for e in README_EXAMPLES], ids=[e[0] for e in README_EXAMPLES]
+)
+def test_readme_example_stdout_is_byte_stable(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_import_and_closed_form_commands_leave_scipy_unloaded():
+    scipy_free = [argv for name, argv, _ in README_EXAMPLES if name not in SCIPY_EXAMPLES]
+    assert len(scipy_free) == 13
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import tvdp, tvdp.cli\n"
+        "after_import = scipy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [tvdp.cli.dispatch(argv) for argv in json.loads(sys.argv[1])]\n"
+        "after_commands = scipy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(tvdp.cli.dispatch(\n"
+        "        ['mech', 'tv', '--kind', 'gaussian', '--mu', '0.7692307692']))\n"
+        "print(json.dumps([after_import, after_commands, codes, 'scipy.special' in sys.modules]))\n"
+    )
+    result = json.loads(_fresh_python("-c", probe, json.dumps(scipy_free)).stdout)
+    assert result == [[], [], [0] * 14, True]
+
+
+# Inputs at the edge of the double range, with their stdout: e^-eps overflows
+# in the dominating pair's logistic weights, and the KL and chi-squared maxima
+# are finite although f(e^eps) is not.
+OVERFLOW_EDGE_OUTPUTS = [
+    (["mech", "pair", "--eps=709.78", "--delta", "0", "--eta", "0.5"],
+     '{"p0": [0.0, 0.5, 0.5, 2.78889805263e-309, 0.0], '
+     '"p1": [0.0, 2.78889805263e-309, 0.5, 0.5, 0.0]}\n'),
+    (["mech", "pair", "--eps=1e308", "--delta", "0", "--eta", "1"],
+     '{"p0": [0.0, 1.0, 0.0, 0.0, 0.0], "p1": [0.0, 0.0, 0.0, 1.0, 0.0]}\n'),
+    (["ldp", "bounds", "--eps=400", "--eta=0.3"],
+     '{"max_kl": 120.0, "max_chi2": 1.56644090693e+173, "max_tv": 0.3, '
+     '"kl_contraction_bound": 0.3, "chi2_output_coefficient": 6.26576362772e+173, '
+     '"opt_conversion_factor": 0.3, "be_ratio_lower_bound": 2.87275439507e-175}\n'),
+    (["ldp", "bounds", "--eps=705", "--eta=0.3"],
+     '{"max_kl": 211.5, "max_chi2": 4.51576149919e+305, "max_tv": 0.3, '
+     '"kl_contraction_bound": 0.3, "chi2_output_coefficient": 1.80630459968e+306, '
+     '"opt_conversion_factor": 0.3, "be_ratio_lower_bound": 9.965096697e-308}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", OVERFLOW_EDGE_OUTPUTS, ids=[" ".join(a[:3]) for a, _ in OVERFLOW_EDGE_OUTPUTS]
+)
+def test_overflow_edge_output_is_finite_and_warning_free(capsys, argv, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
 
 
 def _fresh_parser_run(capsys, argv):

@@ -178,6 +178,26 @@ class TestMaxFdiv:
     def test_eps_zero(self):
         assert max_fdiv(0.0, 0.0, DivergenceSpec.kl()) == 0.0
 
+    # the general formula through custom specs with the same generators
+    KL_FORMULA = DivergenceSpec.custom(lambda t: t * np.log(t), 0.0)
+    CHI2_FORMULA = DivergenceSpec.custom(lambda t: (t - 1.0) ** 2, 1.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 3.0, 20.0, 300.0])
+    def test_closed_forms_match_formula_within_an_ulp(self, eps):
+        for named, formula in ((DivergenceSpec.kl(), self.KL_FORMULA),
+                               (DivergenceSpec.chi_squared(), self.CHI2_FORMULA)):
+            closed, general = max_fdiv(eps, 0.3, named), max_fdiv(eps, 0.3, formula)
+            assert abs(closed - general) <= math.ulp(general)
+
+    def test_custom_generator_keeps_the_formula(self):
+        assert max_fdiv(1.0, 0.3, self.CHI2_FORMULA) == 0.7051207161862809
+        assert max_fdiv(1.0, 0.3, DivergenceSpec.chi_squared()) == 0.7051207161862808
+
+    def test_small_eps_keeps_relative_precision(self):
+        # the general formula cancels to 1.29e-27 here
+        assert max_fdiv(1e-10, 1e-11, DivergenceSpec.kl()) == 1e-11 * 1e-10
+        assert max_fdiv(1e-10, 1e-11, DivergenceSpec.chi_squared()) == 2e-11 * math.sinh(1e-10)
+
 
 class TestContractionBounds:
     def test_kl_contraction_reference(self):

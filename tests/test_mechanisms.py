@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from oracles import (
     gaussian_tv_quadrature,
@@ -32,6 +33,7 @@ from tvdp import (
     tv_feasibility_cap,
     tv_of_curve,
 )
+from tvdp.mechanisms import _expit
 
 E = math.e
 ETA_REF = 0.323482
@@ -120,6 +122,18 @@ class TestDominatingApprox:
         assert pair.tv() == pytest.approx(0.1, abs=1e-15)
         with pytest.raises(ValidationError):
             dominating_approx(PrivacyBudget(0.0, 0.1, 0.15))
+
+
+class TestExpit:
+    EDGES = [0.0, 5e-324, 1e-12, 36.0, 709.78, 709.9, 745.0, 1e308]
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20)
+        sweep = 10.0 ** rng.uniform(-12.0, math.log10(709.0), 200_000)
+        xs = np.concatenate([self.EDGES, sweep])
+        xs = np.concatenate([xs, -xs])
+        ours = np.array([_expit(float(x)) for x in xs])
+        assert np.array_equal(ours.view(np.int64), expit(xs).view(np.int64))
 
 
 class TestLaplace:
