@@ -26,7 +26,8 @@ def subsample(budget: PrivacyBudget, p: float) -> PrivacyBudget:
     if not 0.0 < p <= 1.0:
         raise ValidationError("subsampling ratio p must lie in (0, 1]")
     _check_exp(budget.epsilon)
-    new_eps = math.log1p(p * math.expm1(budget.epsilon))
+    # exactly <= eps; the rounding of log1p(expm1(eps)) at p = 1 can exceed it
+    new_eps = min(math.log1p(p * math.expm1(budget.epsilon)), budget.epsilon)
     return PrivacyBudget(new_eps, p * budget.delta, p * budget.eta)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
+    _dp_lines,
     _roc_from_atoms,
     _upper_envelope,
     curve_from_pair,
@@ -92,11 +93,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-def _validate_composable(budget: PrivacyBudget):
+def _composable_alpha(budget: PrivacyBudget) -> float:
+    """The dominating pair's alpha of a budget that composes."""
     if budget.eta < budget.delta:
         raise ValidationError("composition requires eta >= delta")
     if budget.epsilon == 0.0 and budget.eta > budget.delta:
         raise ValidationError("epsilon = 0 composes only with eta = delta")
+    return DominatingSpec.from_budget(budget).alpha
 
 
 def _level_log_masses(k: int, eps: float, alpha: float) -> np.ndarray:
@@ -178,15 +181,24 @@ def _log_tail_sums(log_w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     return log_delta, log_keep
 
 
-def _ledger_columns(k: int, eps: float, delta: float, alpha: float):
-    """(log(1 - delta_j), clamped_j) for j = 0..k: the kernel behind every
-    composition ledger and curve.
+def _ledger_columns(
+    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
+):
+    """(j, log(1 - delta_j), clamped_j) at the ledger's levels j, and the
+    composed eta: the one route to the kernel behind every composition
+    ledger and curve, under the ledger's delta invariant.
 
     log(1 - delta_j) comes from the delta_j sum while delta_j < 1/2 and from
     its own sum beyond that; the 1 - (1-delta)^k (1-delta_j) wrapper then
     gives the composed value.  clamped_j flags a log(1 - delta_j) that
-    rounded above 0 and was clipped.
+    rounded above 0 and was clipped.  The composed eta is delta_0, which is
+    computed even where j = 0 is not among the levels.
     """
+    if math.isinf(k * float(eps)):
+        raise ValidationError(
+            f"epsilon = {eps:.12g} is too large for k = {k}: "
+            "k*epsilon overflows a double"
+        )
     log_delta, log_keep = _log_tail_sums(_level_log_masses(k, eps, alpha), eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(
@@ -194,42 +206,24 @@ def _ledger_columns(k: int, eps: float, delta: float, alpha: float):
         )
     log_wrap = k * math.log1p(-delta) if delta < 1.0 else -math.inf
     clamped = inner > 0.0
-    return log_wrap + np.where(clamped, 0.0, inner), clamped
-
-
-def _ledger_entries(k: int, eps: float, delta: float, alpha: float):
-    """Ledger entries j = 0..k: the kernel's columns as ``LedgerEntry``s."""
-    log_keep, clamped = _ledger_columns(k, eps, delta, alpha)
-    return tuple(
-        LedgerEntry(j, j * eps, -math.expm1(raw), clamped=flag, log_one_minus_delta=raw)
-        for j, (raw, flag) in enumerate(zip(log_keep.tolist(), clamped.tolist()))
-    )
-
-
-def _column_curve(
-    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
-) -> tuple[TradeoffCurve, float]:
-    """The curve and composed eta of the ledger of the kernel's entries at
-    ``levels``, straight from its columns: what ``ledger_to_curve`` and
-    ``composed_eta`` give on that ledger, under the same delta invariant,
-    with no ``LedgerEntry`` built."""
-    log_keep, _ = _ledger_columns(k, eps, delta, alpha)
+    log_keep = log_wrap + np.where(clamped, 0.0, inner)
     kept = log_keep[levels]
     _check_deltas(-np.expm1(kept))
-    eps_j = np.arange(k + 1)[levels] * eps
-    return _lines_to_curve(eps_j, kept), -math.expm1(log_keep[0])
+    return np.arange(k + 1)[levels], kept, clamped[levels], -math.expm1(log_keep[0])
 
 
-def _budget_ledger(budget: PrivacyBudget, k: int, method: str) -> CompositionLedger:
-    _validate_composable(budget)
-    alpha = DominatingSpec.from_budget(budget).alpha
-    entries = _ledger_entries(k, budget.epsilon, budget.delta, alpha)
+def _ledger(
+    base: PrivacyBudget, k: int, alpha: float, method: str, levels: slice = slice(None)
+) -> CompositionLedger:
+    """The builder's columns as a ``CompositionLedger`` of ``LedgerEntry``s."""
+    eps = base.epsilon
+    js, log_keep, clamped, eta = _ledger_columns(k, eps, base.delta, alpha, levels)
+    entries = tuple(
+        LedgerEntry(j, j * eps, -math.expm1(raw), clamped=flag, log_one_minus_delta=raw)
+        for j, raw, flag in zip(js.tolist(), log_keep.tolist(), clamped.tolist())
+    )
     return CompositionLedger(
-        k=k,
-        base=budget,
-        entries=entries,
-        composed_eta=entries[0].delta,
-        method=method,
+        k=k, base=base, entries=entries, composed_eta=eta, method=method
     )
 
 
@@ -239,7 +233,7 @@ def compose_exact(budget: PrivacyBudget, k: int) -> CompositionLedger:
     j = k always yields the raw (k*eps, wrapper-only) statement, since no
     privacy-loss level lies above k*eps.
     """
-    return _budget_ledger(budget, _check_k(k), "exact")
+    return _ledger(budget, _check_k(k), _composable_alpha(budget), "exact")
 
 
 def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
@@ -252,14 +246,7 @@ def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     """
     k = _check_k(k)
     base = PrivacyBudget.from_dp(epsilon, delta)
-    entries = _ledger_entries(k, epsilon, delta, 0.0)
-    return CompositionLedger(
-        k=k,
-        base=base,
-        entries=entries[_kairouz_levels(k)],
-        composed_eta=entries[0].delta,
-        method="kairouz",
-    )
+    return _ledger(base, k, 0.0, "kairouz", _kairouz_levels(k))
 
 
 def _kairouz_levels(k: int) -> slice:
@@ -269,18 +256,16 @@ def _kairouz_levels(k: int) -> slice:
 
 def _kairouz_curve(epsilon: float, delta: float, k: int) -> TradeoffCurve:
     """``ledger_to_curve(compose_kairouz(epsilon, delta, k))`` from the
-    kernel's columns."""
+    builder's columns."""
     PrivacyBudget.from_dp(epsilon, delta)
-    return _column_curve(k, epsilon, delta, 0.0, _kairouz_levels(k))[0]
+    j, log_keep, _, _ = _ledger_columns(k, epsilon, delta, 0.0, _kairouz_levels(k))
+    return _lines_to_curve(j * epsilon, log_keep)
 
 
 def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """Envelope of f >= (1-delta_j) - e^eps_j t and f >= e^-eps_j (1-delta_j-t),
-    as lines in log coordinates (slopes of any steepness are exact); the
-    log form keeps intercepts alive once delta_j rounds to 1."""
-    return _upper_envelope(
-        np.concatenate((eps_j, -eps_j)), np.concatenate((log_keep, log_keep - eps_j))
-    )
+    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)); the log
+    form keeps intercepts alive once delta_j rounds to 1."""
+    return _upper_envelope(*map(np.concatenate, _dp_lines(eps_j, log_keep)))
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:
@@ -472,15 +457,15 @@ def compose_types_approx(
     """
     k = _check_k(k)
     _check_tol(tol)
-    return _budget_ledger(budget, k, "types")
+    return _ledger(budget, k, _composable_alpha(budget), "types")
 
 
 def _types_curve(
     budget: PrivacyBudget, k: int, tol: float
 ) -> tuple[TradeoffCurve, float]:
     """``ledger_to_curve`` and ``composed_eta`` of
-    ``compose_types_approx(budget, k, tol)`` from the kernel's columns."""
+    ``compose_types_approx(budget, k, tol)`` from the builder's columns."""
     _check_tol(tol)
-    _validate_composable(budget)
-    alpha = DominatingSpec.from_budget(budget).alpha
-    return _column_curve(k, budget.epsilon, budget.delta, alpha)
+    alpha = _composable_alpha(budget)
+    j, log_keep, _, eta = _ledger_columns(k, budget.epsilon, budget.delta, alpha)
+    return _lines_to_curve(j * budget.epsilon, log_keep), eta

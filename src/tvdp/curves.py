@@ -280,12 +280,11 @@ def _crossings(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
     Needs strictly decreasing lm and lb along the list; the crossing is
     (b_i - b_j) / (m_i - m_j), written without cancellation.
     """
-    return (
-        lb[:-1]
-        + _log1mexp(lb[1:] - lb[:-1])
-        - lm[:-1]
-        - _log1mexp(lm[1:] - lm[:-1])
-    )
+    # slopes more than DBL_MAX apart overflow their log gap to -inf, the
+    # exact limit here (_log1mexp(-inf) = 0), so that overflow is benign
+    with np.errstate(over="ignore"):
+        slope_gap = lm[1:] - lm[:-1]
+    return lb[:-1] + _log1mexp(lb[1:] - lb[:-1]) - lm[:-1] - _log1mexp(slope_gap)
 
 
 def _hands_over_first(takes_over, hands_over):
@@ -358,7 +357,8 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     n = 1 + int(np.count_nonzero(cross < 0.0))
     lm, lb, cross = lm[:n], lb[:n], cross[: n - 1]
     # f at the crossing of lines i and j: (b_j m_i - b_i m_j) / (m_i - m_j).
-    with np.errstate(invalid="ignore"):
+    # As in _crossings, a slope gap that overflows to -inf is the exact limit.
+    with np.errstate(over="ignore", invalid="ignore"):
         spread = np.minimum(lb[:-1] - lb[1:] + lm[1:] - lm[:-1], 0.0)
         lf_cross = np.where(
             lb[1:] == -np.inf,
@@ -374,11 +374,12 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     return TradeoffCurve._from_log(lt, lf, lm, lb)
 
 
-def _budget_lines(budget: PrivacyBudget):
-    eps = budget.epsilon
-    log_keep = math.log1p(-budget.delta) if budget.delta < 1.0 else -math.inf
-    log_tv = math.log1p(-budget.eta) if budget.eta < 1.0 else -math.inf
-    return [eps, -eps, 0.0], [log_keep, log_keep - eps, log_tv]
+def _dp_lines(eps, log_keep):
+    """The two DP lines of each (eps, log(1 - delta)), f = (1-delta) - e^eps t
+    and its mirror f = e^-eps (1-delta-t), as the log slopes and the log
+    intercepts that ``_upper_envelope`` takes, each split in two parts:
+    scalars for one budget, arrays for a ledger."""
+    return (eps, -eps), (log_keep, log_keep - eps)
 
 
 def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
@@ -388,7 +389,10 @@ def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
     (1-delta-t)e^{-eps} and 1-eta-t, clipped to the unit square; it is
     symmetric about the diagonal.
     """
-    return _upper_envelope(*_budget_lines(budget))
+    log_keep = math.log1p(-budget.delta) if budget.delta < 1.0 else -math.inf
+    log_tv = math.log1p(-budget.eta) if budget.eta < 1.0 else -math.inf
+    lm, lb = _dp_lines(budget.epsilon, log_keep)
+    return _upper_envelope([*lm, 0.0], [*lb, log_tv])
 
 
 def check_budget(curve: TradeoffCurve, budget: PrivacyBudget) -> bool:

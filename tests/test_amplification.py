@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_pair
@@ -140,6 +140,7 @@ class TestErasePair:
     frac=st.floats(0.0, 1.0),
     p=st.floats(0.001, 1.0),
 )
+@example(eps=0.23226402064373494, delta=0.0, frac=0.0, p=1.0)  # log1p(expm1(eps)) > eps
 def test_subsample_closure_property(eps, delta, frac, p):
     eta = delta + frac * (tv_feasibility_cap(eps, delta) - delta)
     out = subsample(PrivacyBudget(eps, delta, eta), p)

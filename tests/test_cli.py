@@ -52,6 +52,12 @@ class TestRegion:
         assert code == 0
         assert len(out.strip().splitlines()) >= 12
 
+    def test_slopes_beyond_dbl_max_apart(self, capsys):
+        # the DP lines' log slopes +-1e308 differ by more than DBL_MAX
+        code, out, err = run(capsys, "region", "--eps=1e308", "--eta=1", "--out", "csv", "--grid", "2")
+        assert code == 0 and err == ""
+        assert out == "beta_I,beta_II\n0,1\n2.22507385851e-308,0\n1,0\n"
+
     def test_infeasible_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "region", "--eps", "1", "--delta", "0", "--eta", "0.5")
         assert code == 2
@@ -252,6 +258,16 @@ EDGE_ARGV = [
     (["mech", "pair", "--eps=5e-324", "--delta=0", "--eta=1e-20"], None),
     (["compose", "--eps=5e-324", "--eta=1e-20", "-k", "12"], None),
     (["clt", "--eps=5e-324", "--eta=5e-324", "-k", "6"], None),
+    (["compose", "--eps=1e308", "--eta=0", "-k", "3"], "epsilon = 1e+308"),
+    (["compose", "--mode", "types", "--eps=1e308", "--eta=0", "-k", "3"], "epsilon = 1e+308"),
+    (["compose", "--eps=1e308", "--delta=0", "-k", "3", "--baseline", "kairouz"], "epsilon = 1e+308"),
+    (["clt", "--eps=1e308", "--eta=0", "-k", "3"], "epsilon = 1e+308"),
+    (["compose", "--eps=1e307", "--eta=0.5", "-k", "30"], "epsilon = 1e+307"),
+    (
+        ["sgd", "--n", "100", "--batch", "10", "--epochs", "1", "--mu", "0.5",
+         "--eps-from", "1e308", "--eps-to", "1e308", "--eps-step", "1"],
+        "epsilon = 1e+308",
+    ),
 ]
 
 

@@ -33,7 +33,7 @@ from tvdp import (
     tv_feasibility_cap,
     tv_of_curve,
 )
-from tvdp.composition import _conv_power, _ledger_entries
+from tvdp.composition import _conv_power, _ledger_columns
 
 
 E = math.e
@@ -322,26 +322,52 @@ class TestPrecisionAgainstMpmath:
     def test_relative_error(self, budget, k):
         if isinstance(budget, DominatingSpec):
             alpha = budget.alpha
-            entries = _ledger_entries(k, budget.epsilon, budget.delta, alpha)
+            _, log_keep, _, _ = _ledger_columns(k, budget.epsilon, budget.delta, alpha)
+            rows = [(-math.expm1(raw), raw) for raw in log_keep.tolist()]
         else:
             alpha = DominatingSpec.from_budget(budget).alpha
             assert (alpha == 0.0) == (budget.eta == budget.tv_cap)
             entries = compose_exact(budget, k).entries
+            rows = [(e.delta, e.log_one_minus_delta) for e in entries]
         deltas, keeps = composed_levels_mp(budget.epsilon, alpha, k)
         bound = 4e-16 * k * (1.0 + math.log(k))
         checked = 0
-        for entry, delta_j, keep_j in zip(entries, deltas, keeps):
+        for j, ((delta, raw), delta_j, keep_j) in enumerate(zip(rows, deltas, keeps)):
             if delta_j == 0:
-                assert entry.delta == 0.0, entry.j
+                assert delta == 0.0, j
                 checked += 1
             if 1e-300 < delta_j < 0.5:
-                assert abs(entry.delta / delta_j - 1) <= bound, entry.j
+                assert abs(delta / delta_j - 1) <= bound, j
                 checked += 1
             if keep_j < 0.5:
-                log_ratio = entry.log_one_minus_delta - mpmath.log(keep_j)
-                assert abs(mpmath.expm1(log_ratio)) <= bound, entry.j
+                log_ratio = raw - mpmath.log(keep_j)
+                assert abs(mpmath.expm1(log_ratio)) <= bound, j
                 checked += 1
         assert checked >= k // 2
+
+
+class TestEpsilonRange:
+    # the builder accepts epsilon exactly while k*epsilon is a finite double
+    @pytest.mark.parametrize("k", [1, 2, 3, 30, 1000])
+    def test_largest_accepted_epsilon_is_warning_free(self, k):
+        eps = float(np.finfo(float).max) / k
+        while math.isfinite(k * math.nextafter(eps, math.inf)):
+            eps = math.nextafter(eps, math.inf)
+        while not math.isfinite(k * eps):
+            eps = math.nextafter(eps, 0.0)
+        # RuntimeWarnings are errors in this suite, so these run clean; at
+        # eta = 1 the envelope keeps lines whose slopes lie 2 k eps apart
+        for eta in (0.3, 1.0):
+            curve = ledger_to_curve(compose_exact(PrivacyBudget.pure(eps, eta), k))
+            assert curve.tv() <= 1.0
+        assert compose_kairouz(eps, 0.0, k).composed_eta <= 1.0
+        above = math.nextafter(eps, math.inf)
+        for compose in (
+            lambda: compose_exact(PrivacyBudget.pure(above, 0.3), k),
+            lambda: compose_kairouz(above, 0.0, k),
+        ):
+            with pytest.raises(ValidationError, match="epsilon"):
+                compose()
 
 
 class TestLevelMassReference:
