@@ -12,7 +12,9 @@ segment as its supporting line f = e^lb - e^lm t, kept as (lm, lb).  Long
 compositions produce lines with slopes like -e^10000 whose vertices sit at
 t = e^-4000; in these coordinates they keep their exact position, with no
 cap on the slope and no floor on t.  The linear ``xs``/``ys`` arrays are a
-derived view for output and for evaluation at double-precision t.
+view for output and for evaluation at double-precision t; a curve built from
+its log form derives that view on first access, so curves that are only
+intersected or queried in log coordinates never build it.
 """
 
 from __future__ import annotations
@@ -115,18 +117,18 @@ class TradeoffCurve:
 
     Vertices have strictly increasing t covering [0, 1]; segments have
     non-increasing values and non-decreasing slopes.  ``xs`` and ``ys`` are
-    the linear vertex view (see the module docstring); the computations
-    below run on the log-coordinate form.  Instances are immutable; all
-    operations return new curves.
+    the linear vertex view (see the module docstring): a curve built from
+    vertices keeps them, and a curve built from its log form derives them
+    on first access.  The computations below run on the log-coordinate
+    form.  Instances are immutable; all operations return new curves.
     """
 
-    __slots__ = ("xs", "ys", "_lt", "_lf", "_lm", "_lb")
+    __slots__ = ("_view", "_lt", "_lf", "_lm", "_lb")
 
     def __init__(self, xs, ys, validate: bool = True):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        self._set("xs", xs)
-        self._set("ys", ys)
+        self._set_view(xs, ys)
         if validate:
             self._validate()
         lt, lf = _log(xs), _log(np.clip(ys, 0.0, 1.0))
@@ -140,18 +142,40 @@ class TradeoffCurve:
         arr.setflags(write=False)
         object.__setattr__(self, name, arr)
 
+    def _set_view(self, xs, ys):
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        object.__setattr__(self, "_view", (xs, ys))
+
     @classmethod
     def _from_log(cls, lt, lf, lm, lb) -> "TradeoffCurve":
-        """Curve from its log-coordinate form; the linear view is derived.
+        """Curve from its log-coordinate form; the linear view is derived
+        on first access (see ``_derive_view``)."""
+        self = object.__new__(cls)
+        for name, arr in (("_lt", lt), ("_lf", lf), ("_lm", lm), ("_lb", lb)):
+            self._set(name, arr)
+        object.__setattr__(self, "_view", None)
+        return self
+
+    @property
+    def xs(self) -> np.ndarray:
+        """t of the vertices, read-only."""
+        return (self._view or self._derive_view())[0]
+
+    @property
+    def ys(self) -> np.ndarray:
+        """f of the vertices, read-only."""
+        return (self._view or self._derive_view())[1]
+
+    def _derive_view(self):
+        """Build and keep the linear view of a curve made from its log form.
 
         The view resolves t and f down to the smallest normal double.
         Vertices at smaller t are replaced by the curve's value at that t,
         and smaller f reads as 0, so the view is exact to within that
         resolution.
         """
-        self = object.__new__(cls)
-        for name, arr in (("_lt", lt), ("_lf", lf), ("_lm", lm), ("_lb", lb)):
-            self._set(name, arr)
+        lt, lf = self._lt, self._lf
         resolved = lt >= _LOG_VIEW_FLOOR
         resolved[0] = True
         xs, ys = np.exp(lt[resolved]), np.exp(lf[resolved])
@@ -164,9 +188,8 @@ class TradeoffCurve:
         # has reached 0 only t = 1 remains
         keep[:-1] = np.diff(xs) > 0
         keep[1:-1] &= ys[:-2] > 0.0
-        self._set("xs", xs[keep])
-        self._set("ys", ys[keep])
-        return self
+        self._set_view(xs[keep], ys[keep])
+        return self._view
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("TradeoffCurve is immutable")
@@ -274,17 +297,23 @@ class TradeoffCurve:
         return hash((self.xs.tobytes(), self.ys.tobytes()))
 
 
-def _crossings(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log t at which each line hands over to the next, flatter one.
+def _crossing(lm_i, lb_i, lm_j, lb_j) -> np.ndarray:
+    """log t at which each line i hands over to its flatter line j.
 
-    Needs strictly decreasing lm and lb along the list; the crossing is
+    Needs lm_j < lm_i and lb_j < lb_i elementwise; the crossing is
     (b_i - b_j) / (m_i - m_j), written without cancellation.
     """
     # slopes more than DBL_MAX apart overflow their log gap to -inf, the
     # exact limit here (_log1mexp(-inf) = 0), so that overflow is benign
     with np.errstate(over="ignore"):
-        slope_gap = lm[1:] - lm[:-1]
-    return lb[:-1] + _log1mexp(lb[1:] - lb[:-1]) - lm[:-1] - _log1mexp(slope_gap)
+        slope_gap = lm_j - lm_i
+    return lb_i + _log1mexp(lb_j - lb_i) - lm_i - _log1mexp(slope_gap)
+
+
+def _crossings(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """log t at which each line hands over to the next, flatter one
+    (lm and lb strictly decreasing along the list)."""
+    return _crossing(lm[:-1], lb[:-1], lm[1:], lb[1:])
 
 
 def _hands_over_first(takes_over, hands_over):
@@ -320,9 +349,11 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     sorted steepest first; a line survives only if it hands over to its
     successor after it takes over from its predecessor.  Each pass drops
     every line that fails this test at once (a line below the maximum of
-    its two neighbours is below the envelope of the rest), until none does;
-    chains of lines that each surface only once a neighbour goes could need
-    a pass per line, so past _MAX_PASSES a sequential scan finishes.
+    its two neighbours is below the envelope of the rest), until none does.
+    The crossings are computed once; a pass recomputes only those of the
+    pairs its drops made adjacent.  Chains of lines that each surface only
+    once a neighbour goes could need a pass per line, so past _MAX_PASSES a
+    sequential scan finishes.
     Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).
     """
@@ -340,14 +371,17 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     keep[:-1] = lb[:-1] > flatter_best[1:]
     lm, lb = lm[keep], lb[keep]
 
+    cross = _crossings(lm, lb)
     for _ in range(_MAX_PASSES):
-        cross = _crossings(lm, lb)
         hidden = _hands_over_first(cross[:-1], cross[1:])
         if not hidden.any():
             break
         keep = np.ones(lm.size, dtype=bool)
         keep[1:-1] = ~hidden
-        lm, lb = lm[keep], lb[keep]
+        idx = np.flatnonzero(keep)
+        lm, lb, cross = lm[idx], lb[idx], cross[idx[:-1]]
+        fresh = np.flatnonzero(np.diff(idx) > 1)
+        cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
     else:
         lm, lb = _hull_scan(lm, lb)
         cross = _crossings(lm, lb)
@@ -496,6 +530,15 @@ def max_gap(a: TradeoffCurve, b: TradeoffCurve) -> float:
     return float(np.max(_gaps(a, b)))
 
 
+def _strict(
+    top_gap: float, a: TradeoffCurve, b: TradeoffCurve, threshold: float = 1e-9
+) -> bool:
+    """Whether a maximum gap ``top_gap`` of a over b exceeds ``threshold``
+    times the curves' overall scale (their value at 0)."""
+    scale = max(float(a(0.0)), float(b(0.0)), 1e-300)
+    return bool(top_gap > threshold * scale)
+
+
 def strict_improvement(
     a: TradeoffCurve, b: TradeoffCurve, threshold: float = 1e-9
 ) -> bool:
@@ -505,8 +548,7 @@ def strict_improvement(
     Separation below that scale is indistinguishable from accumulated
     rounding in the constructions, so it does not count as strict.
     """
-    scale = max(float(a(0.0)), float(b(0.0)), 1e-300)
-    return bool(max_gap(a, b) > threshold * scale)
+    return _strict(max_gap(a, b), a, b, threshold)
 
 
 def delta_at_epsilon(curve: TradeoffCurve, epsilon: float) -> float:

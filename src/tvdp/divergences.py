@@ -63,6 +63,20 @@ def _chi2_generator(t):
     return (t - 1.0) ** 2
 
 
+class _LeCamGenerator:
+    """Le Cam generator b (1-b) (t-1)^2 / (b t + 1 - b); its type marks a
+    spec built by ``DivergenceSpec.le_cam``."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta: float):
+        self.beta = beta
+
+    def __call__(self, t):
+        b = self.beta
+        return b * (1.0 - b) * (t - 1.0) ** 2 / (b * t + 1.0 - b)
+
+
 @dataclass(frozen=True)
 class DivergenceSpec:
     """A convex generator f with f(1) = 0 plus the limits needed at the
@@ -96,11 +110,7 @@ class DivergenceSpec:
         if not 0.0 < beta < 1.0:
             raise ValidationError("Le Cam beta must lie strictly inside (0, 1)")
         b = float(beta)
-
-        def f(t):
-            return b * (1.0 - b) * (t - 1.0) ** 2 / (b * t + 1.0 - b)
-
-        return cls("le_cam", f, b, 1.0 - b, params=(b,))
+        return cls("le_cam", _LeCamGenerator(b), b, 1.0 - b, params=(b,))
 
     @classmethod
     def custom(

@@ -17,11 +17,10 @@ from .composition import _kairouz_curve, _types_curve
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
+    _gaps,
+    _strict,
     delta_at_epsilon,
     intersect,
-    max_gap,
-    min_gap,
-    strict_improvement,
     tv_feasibility_cap,
 )
 from .errors import ValidationError
@@ -138,6 +137,9 @@ def sgd_compare(
     refined = intersect([r["curve"] for r in records])
     baseline = sgd_region_baseline(config)
     per_eps = [{key: r[key] for key in r if key != "curve"} for r in records]
+    # min_gap, max_gap and strict_improvement, from one gap evaluation
+    gaps = _gaps(refined, baseline)
+    top_gap = float(gaps.max())
     return {
         "steps": config.steps,
         "per_epsilon": per_eps,
@@ -152,9 +154,9 @@ def sgd_compare(
             for e in reference_epsilons
         ],
         "dominance": {
-            "min_gap": min_gap(refined, baseline),
-            "max_gap": max_gap(refined, baseline),
-            "strict": strict_improvement(refined, baseline),
+            "min_gap": float(gaps.min()),
+            "max_gap": top_gap,
+            "strict": _strict(top_gap, refined, baseline),
         },
         "annotations": {
             "moments_accountant": dict(MOMENTS_ACCOUNTANT_REFERENCE, asserted=False)

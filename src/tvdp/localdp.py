@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PrivacyBudget, _check_exp
-from .divergences import DiscretePair, DivergenceSpec, _chi2_generator, _kl_generator
+from .divergences import (
+    DiscretePair,
+    DivergenceSpec,
+    _chi2_generator,
+    _kl_generator,
+    _LeCamGenerator,
+)
 from .errors import ValidationError
 from .mechanisms import alpha_from_budget
 
@@ -158,18 +164,28 @@ def erase_channel(channel: Channel, alpha: float) -> Channel:
 
 def max_fdiv(epsilon: float, eta: float, spec: DivergenceSpec) -> float:
     """Largest f-divergence between the rows of any channel in the joint
-    class: eta (f(e^eps) + e^eps f(e^{-eps})) / (e^eps - 1), which is
-    eta eps for KL and 2 eta sinh(eps) for chi-squared."""
+    class: eta (f(e^eps) + e^eps f(e^{-eps})) / (e^eps - 1).
+
+    That is eta eps for KL, 2 eta sinh(eps) for chi-squared and, with
+    m = e^eps - 1, eta b (1-b) m (1/(1 + b m) + 1/(1 + (1-b) m)) for Le Cam
+    LC_b (eta tanh(eps/2) at b = 1/2); these closed forms keep their
+    relative precision at every eps.  Any other generator, including a
+    custom one, takes the general formula, which cancels at small eps and
+    overflows where f(e^eps) does.
+    """
     PrivacyBudget.pure(epsilon, eta)
     _check_exp(epsilon)
     if abs(float(spec.f(np.asarray(1.0)))) > 1e-12:
         raise ValidationError("divergence generator must satisfy f(1) = 0")
-    # closed forms for the named generators: unlike the general formula,
-    # which evaluates f at e^eps, they cannot overflow before the result does
     if spec.f is _kl_generator:
         return eta * epsilon
     if spec.f is _chi2_generator:
         return 2.0 * eta * math.sinh(epsilon)
+    if isinstance(spec.f, _LeCamGenerator):
+        b, m = spec.f.beta, math.expm1(epsilon)
+        return (
+            eta * b * (1.0 - b) * m * (1.0 / (1.0 + b * m) + 1.0 / (1.0 + (1.0 - b) * m))
+        )
     ee = math.exp(epsilon)
     if ee == 1.0:  # epsilon of 0 to double precision
         return 0.0

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvdp
-from tvdp import curves
+from tvdp import composition, curves
 from tvdp import (
     DiscretePair,
     PrivacyBudget,
@@ -318,3 +319,167 @@ def test_budget_curve_round_trip_property(eps, delta, frac):
     c = curve_from_budget(b)
     assert check_budget(c, b)
     assert tv_of_curve(c) == pytest.approx(eta, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The envelope's pass loop keeps each crossing that a pass leaves in place and
+# recomputes only those of newly adjacent pairs.  The function below is a
+# regression reference: a copy of the earlier loop, which recomputed every
+# crossing on every pass, with its own copy of the crossing formula.
+
+
+def _reference_envelope(log_slopes, log_intercepts):
+    """(lm, lb, lt, lf) of the envelope by the full-recompute pass loop."""
+    log1mexp, log = curves._log1mexp, curves._log
+
+    def crossings(lm, lb):
+        with np.errstate(over="ignore"):
+            slope_gap = lm[1:] - lm[:-1]
+        return lb[:-1] + log1mexp(lb[1:] - lb[:-1]) - lm[:-1] - log1mexp(slope_gap)
+
+    lm = np.append(np.asarray(log_slopes, dtype=float), -np.inf)
+    lb = np.append(np.asarray(log_intercepts, dtype=float), -np.inf)
+    order = np.lexsort((-lb, -lm))
+    lm, lb = lm[order], lb[order]
+    keep = np.ones(lm.size, dtype=bool)
+    keep[1:] = lm[1:] != lm[:-1]
+    lm, lb = lm[keep], lb[keep]
+    flatter_best = np.maximum.accumulate(lb[::-1])[::-1]
+    keep = np.ones(lm.size, dtype=bool)
+    keep[:-1] = lb[:-1] > flatter_best[1:]
+    lm, lb = lm[keep], lb[keep]
+    for _ in range(curves._MAX_PASSES):
+        cross = crossings(lm, lb)
+        hidden = curves._hands_over_first(cross[:-1], cross[1:])
+        if not hidden.any():
+            break
+        keep = np.ones(lm.size, dtype=bool)
+        keep[1:-1] = ~hidden
+        lm, lb = lm[keep], lb[keep]
+    else:
+        lm, lb = curves._hull_scan(lm, lb)
+        cross = crossings(lm, lb)
+    n = 1 + int(np.count_nonzero(cross < 0.0))
+    lm, lb, cross = lm[:n], lb[:n], cross[: n - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.minimum(lb[:-1] - lb[1:] + lm[1:] - lm[:-1], 0.0)
+        lf_cross = np.where(
+            lb[1:] == -np.inf,
+            -np.inf,
+            lb[1:] + log1mexp(spread) - log1mexp(lm[1:] - lm[:-1]),
+        )
+    end = np.exp(lb[-1]) - np.exp(lm[-1])
+    lt = np.concatenate(([-np.inf], cross, [0.0]))
+    lf = np.concatenate(([lb[0]], lf_cross, [log(max(end, 0.0))]))
+    return lm, lb, lt, np.minimum(lf, 0.0)
+
+
+def _assert_envelope_matches_reference(lm, lb, max_passes):
+    with mock.patch.object(curves, "_MAX_PASSES", max_passes):
+        env = curves._upper_envelope(lm, lb)
+        want = _reference_envelope(lm, lb)
+    got = (env._lm, env._lb, env._lt, env._lf)
+    for name, a, b in zip(("lm", "lb", "lt", "lf"), got, want):
+        assert a.tobytes() == b.tobytes(), name  # signed zeros count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(1e-3, 4.0),
+    delta=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+    frac=st.floats(0.0, 1.0),
+    k=st.integers(1, 2000),
+    kairouz=st.booleans(),
+    max_passes=st.sampled_from([0, 1, 2, 32]),
+)
+def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz, max_passes):
+    if kairouz:
+        alpha, levels = 0.0, composition._kairouz_levels(k)
+    else:
+        budget = PrivacyBudget(eps, delta, delta + frac * (tv_feasibility_cap(eps, delta) - delta))
+        alpha, levels = composition._composable_alpha(budget), slice(None)
+    j, log_keep, _, _ = composition._ledger_columns(k, eps, delta, alpha, levels)
+    lm, lb = map(np.concatenate, curves._dp_lines(j * eps, log_keep))
+    _assert_envelope_matches_reference(lm, lb, max_passes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 600),
+    spread=st.sampled_from([0.5, 3.0, 20.0, 300.0]),
+    max_passes=st.sampled_from([0, 1, 2, 32]),
+)
+def test_random_line_envelope_is_unchanged_bit_for_bit(seed, n, spread, max_passes):
+    rng = np.random.default_rng(seed)
+    lm = rng.normal(0.0, spread, n)
+    lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, n)), lm)  # f <= 1 - t
+    _assert_envelope_matches_reference(lm, lb, max_passes)
+
+
+def test_pass_loop_computes_every_crossing_once(monkeypatch):
+    calls = {"crossings": 0, "passes": 0}
+    crossings, hands_over_first = curves._crossings, curves._hands_over_first
+
+    def counted_crossings(*args):
+        calls["crossings"] += 1
+        return crossings(*args)
+
+    def counted_pass(*args):
+        calls["passes"] += 1
+        return hands_over_first(*args)
+
+    monkeypatch.setattr(curves, "_crossings", counted_crossings)
+    monkeypatch.setattr(curves, "_hands_over_first", counted_pass)
+    b = PrivacyBudget(0.7, 1e-6, 0.25)
+    j, log_keep, _, _ = composition._ledger_columns(
+        2000, b.epsilon, b.delta, composition._composable_alpha(b)
+    )
+    composition._lines_to_curve(j * b.epsilon, log_keep)
+    # several passes drop lines, and none goes back to the full crossing list
+    assert calls["passes"] >= 3
+    assert calls["crossings"] == 1
+
+
+class TestLazyLinearView:
+    @staticmethod
+    def _ledger_curve():
+        return tvdp.ledger_to_curve(tvdp.compose_exact(PrivacyBudget(0.5, 1e-6, 0.2), 300))
+
+    def test_view_is_derived_on_first_read_only(self, monkeypatch):
+        derived = []
+        derive = TradeoffCurve._derive_view
+
+        def counted(self):
+            derived.append(self)
+            return derive(self)
+
+        monkeypatch.setattr(TradeoffCurve, "_derive_view", counted)
+        c = self._ledger_curve()
+        c.tv(), delta_at_epsilon(c, 1.0), intersect([c, c])
+        assert derived == []
+        xs, ys = c.xs, c.ys
+        assert c.xs is xs and c.ys is ys
+        assert len(derived) == 1 and derived[0] is c
+
+    def test_view_is_read_only(self):
+        c = self._ledger_curve()
+        with pytest.raises(AttributeError):
+            c.xs = np.array([0.0, 1.0])
+        with pytest.raises(AttributeError):
+            c.ys = np.array([1.0, 0.0])
+        for arr in (c.xs, c.ys):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_early_and_late_views_agree(self):
+        early, late = self._ledger_curve(), self._ledger_curve()
+        early.xs
+        late.tv(), delta_at_epsilon(late, 1.0), late.mirror()
+        assert early == late and late == early
+        assert hash(early) == hash(late)
+        assert early.vertices == late.vertices
+        assert early.as_dict() == late.as_dict()
+        assert early.xs.tobytes() == late.xs.tobytes()
+        assert early.ys.tobytes() == late.ys.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tvdp.composition
+import tvdp.dpsgd
 from tvdp import (
     SgdConfig,
     ValidationError,
@@ -25,6 +26,7 @@ from tvdp import (
     strict_improvement,
     sup_norm,
 )
+from tvdp.curves import TradeoffCurve
 from tvdp.dpsgd import _per_epsilon_curves
 
 MU = 1 / 1.3
@@ -129,6 +131,40 @@ class TestSgdCompare:
         assert rep["dominance"]["min_gap"] >= -1e-9
         assert rep["dominance"]["max_gap"] > 0
         assert rep["dominance"]["strict"] is True
+
+    def test_dominance_matches_the_public_functions(self):
+        cfg = small_config()
+        rep = sgd_compare(cfg)
+        refined, baseline = sgd_region(cfg), sgd_region_baseline(cfg)
+        assert rep["dominance"] == {
+            "min_gap": min_gap(refined, baseline),
+            "max_gap": max_gap(refined, baseline),
+            "strict": strict_improvement(refined, baseline),
+        }
+
+    def test_only_the_intersected_curves_build_a_linear_view(self, monkeypatch):
+        dpsgd = tvdp.dpsgd
+        made, intersected, derived = [], [], []
+
+        def recorded(build, into):
+            def wrapper(*args, **kwargs):
+                out = build(*args, **kwargs)
+                into.append(out[0] if isinstance(out, tuple) else out)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(dpsgd, "_types_curve", recorded(dpsgd._types_curve, made))
+        monkeypatch.setattr(dpsgd, "_kairouz_curve", recorded(dpsgd._kairouz_curve, made))
+        monkeypatch.setattr(dpsgd, "intersect", recorded(dpsgd.intersect, intersected))
+        derive = TradeoffCurve._derive_view
+        monkeypatch.setattr(
+            TradeoffCurve, "_derive_view", lambda c: derived.append(c) or derive(c)
+        )
+        cfg = small_config()
+        sgd_compare(cfg)
+        assert len(made) == 2 * len(cfg.epsilon_grid) and len(intersected) == 2
+        assert not any(c is d for c in made for d in derived)
+        assert all(any(c is d for d in derived) for c in intersected)
 
     def test_composed_tv_matches_tightest_ledger(self):
         cfg = small_config()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,44 @@ class TestMaxFdiv:
         # the general formula cancels to 1.29e-27 here
         assert max_fdiv(1e-10, 1e-11, DivergenceSpec.kl()) == 1e-11 * 1e-10
         assert max_fdiv(1e-10, 1e-11, DivergenceSpec.chi_squared()) == 2e-11 * math.sinh(1e-10)
+
+
+    @staticmethod
+    def _le_cam_mp(eps, eta, b):
+        """eta (f(e^eps) + e^eps f(e^-eps)) / (e^eps - 1) in 50-digit mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            b, ee = mpmath.mpf(b), mpmath.exp(mpmath.mpf(eps))
+            f = lambda t: b * (1 - b) * (t - 1) ** 2 / (b * t + 1 - b)  # noqa: E731
+            return mpmath.mpf(eta) * (f(ee) + ee * f(1 / ee)) / (ee - 1)
+
+    @pytest.mark.parametrize("b", [0.3, 0.5])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 1.0, 50.0, 700.0])
+    def test_le_cam_closed_form_against_mpmath(self, eps, b):
+        eta = 0.7 * math.tanh(eps / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = max_fdiv(eps, eta, DivergenceSpec.le_cam(b))
+        want = self._le_cam_mp(eps, eta, b)
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_le_cam_at_half_is_eta_tanh(self):
+        for eps in (1e-12, 1.0, 700.0):
+            got = max_fdiv(eps, 0.3 * math.tanh(eps / 2.0), DivergenceSpec.le_cam(0.5))
+            assert got == pytest.approx(0.3 * math.tanh(eps / 2.0) ** 2, rel=1e-15, abs=0.0)
+
+    def test_custom_le_cam_keeps_the_formula(self):
+        # a custom spec with the Le Cam generator and name is not the closed form
+        b = 0.5
+        spec = DivergenceSpec.custom(
+            lambda t: b * (1.0 - b) * (t - 1.0) ** 2 / (b * t + 1.0 - b), b, 1.0 - b, name="le_cam"
+        )
+        ee = math.exp(1e-10)
+        general = 1e-11 * (float(spec.f(np.asarray(ee))) + ee * float(spec.f(np.asarray(1.0 / ee)))) / (ee - 1.0)
+        assert max_fdiv(1e-10, 1e-11, spec) == general
+        exact = 1e-11 * math.tanh(5e-11)
+        assert max_fdiv(1e-10, 1e-11, DivergenceSpec.le_cam(b)) == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert abs(general - exact) > 1e-9 * exact
 
 
 class TestContractionBounds:
