@@ -23,7 +23,7 @@ from .curves import (
     TradeoffCurve,
     _dp_lines,
     _roc_from_atoms,
-    _upper_envelope,
+    _upper_envelopes,
     curve_from_pair,
 )
 from .divergences import DiscretePair
@@ -75,11 +75,20 @@ class CompositionLedger:
 
 
 def _check_deltas(deltas: np.ndarray) -> None:
-    """The ledger invariant: every delta_j in [0, 1], non-increasing in j."""
-    if not np.all((deltas >= 0.0) & (deltas <= 1.0)):
-        raise ValidationError("ledger deltas must lie in [0, 1]")
-    if np.any(deltas[1:] > deltas[:-1] + 1e-9):
-        raise ValidationError("ledger deltas must be non-increasing in j")
+    """The ledger invariant: every delta_j in [0, 1], non-increasing in j.
+
+    A 2-D ``deltas`` holds one ledger per row; the first row that breaks
+    the invariant names the error.
+    """
+    in_range = ((deltas >= 0.0) & (deltas <= 1.0)).all(axis=-1)
+    rising = (deltas[..., 1:] > deltas[..., :-1] + 1e-9).any(axis=-1)
+    if in_range.all() and not rising.any():
+        return
+    for ok, up in zip(np.atleast_1d(in_range), np.atleast_1d(rising)):
+        if not ok:
+            raise ValidationError("ledger deltas must lie in [0, 1]")
+        if up:
+            raise ValidationError("ledger deltas must be non-increasing in j")
 
 
 def _check_k(k) -> int:
@@ -161,55 +170,88 @@ def _scaled_ratio_logs(k: int, eps: float, alpha: float) -> np.ndarray:
     return np.cumsum(np.log([1.0] + ratios), dtype=ld) + log_scale
 
 
-def _log_tail_sums(log_w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log delta_j, log(1 - delta_j)) for j = 0..k from the level masses.
+def _log_tail_sums(
+    log_w: np.ndarray, eps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log delta_j, log(1 - delta_j)) for j = 0..k from the level masses,
+    one row per row of ``log_w`` and entry of ``eps``.
 
     With T_i = sum_{m >= i} W(m) e^{(i-m) eps},
         delta_j     = (1 - e^-eps) sum_{i > j} T_i,
         1 - delta_j = sum_{m <= j} W(m) + e^-eps T_{j+1},
     both sums of positive terms, so each keeps its relative precision where
-    the other is within rounding of 1.
+    the other is within rounding of 1.  Only T_i for i > 0 are read, so
+    only the levels m > 0 are summed.
     """
-    k = (log_w.size - 1) // 2
-    tilt = np.arange(-k, k + 1) * eps
-    log_t = np.logaddexp.accumulate((log_w - tilt)[::-1])[::-1] + tilt
-    above = np.append(log_t[k + 1 :], -np.inf)  # log T_{j+1}
+    k = (log_w.shape[1] - 1) // 2
+    eps = eps[:, None]
+    tilt = np.arange(1, k + 1) * eps
+    # log T_{j+1} for j = 0..k, the last (T_{k+1} = 0) already in place
+    above = np.full((log_w.shape[0], k + 1), -np.inf)
+    tail = (log_w[:, k + 1 :] - tilt)[:, ::-1]
+    above[:, :k] = np.logaddexp.accumulate(tail, axis=1)[:, ::-1]
+    above[:, :k] += tilt
+    del tilt, tail
     with np.errstate(divide="ignore"):  # eps = 0: log(1 - e^0) = -inf
-        log_gap = float(np.log(-np.expm1(-eps)))
-    log_delta = log_gap + np.logaddexp.accumulate(above[::-1])[::-1]
-    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w)[k:], above - eps)
+        log_gap = np.log(-np.expm1(-eps))
+    log_delta = log_gap + np.logaddexp.accumulate(above[:, ::-1], axis=1)[:, ::-1]
+    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w, axis=1)[:, k:], above - eps)
     return log_delta, log_keep
 
 
-def _ledger_columns(
-    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
-):
-    """(j, log(1 - delta_j), clamped_j) at the ledger's levels j, and the
-    composed eta: the one route to the kernel behind every composition
-    ledger and curve, under the ledger's delta invariant.
-
-    log(1 - delta_j) comes from the delta_j sum while delta_j < 1/2 and from
-    its own sum beyond that; the 1 - (1-delta)^k (1-delta_j) wrapper then
-    gives the composed value.  clamped_j flags a log(1 - delta_j) that
-    rounded above 0 and was clipped.  The composed eta is delta_0, which is
-    computed even where j = 0 is not among the levels.
-    """
+def _check_k_eps(k: int, eps: float) -> None:
+    """Reject an epsilon whose k*epsilon, the largest composed level,
+    overflows a double."""
     if math.isinf(k * float(eps)):
         raise ValidationError(
             f"epsilon = {eps:.12g} is too large for k = {k}: "
             "k*epsilon overflows a double"
         )
-    log_delta, log_keep = _log_tail_sums(_level_log_masses(k, eps, alpha), eps)
+
+
+def _grid_columns(k: int, eps, delta, alpha, levels: slice = slice(None)):
+    """(j, log(1 - delta_j), clamped_j) at the ledger's levels j, and the
+    composed eta, for each budget (eps[i], delta[i]) with dominating alpha
+    alpha[i]: the one route to the kernel behind every composition ledger
+    and curve, under the ledger's delta invariant.
+
+    Row i of the 2-D columns is budget i's ledger.  log(1 - delta_j) comes
+    from the delta_j sum while delta_j < 1/2 and from its own sum beyond
+    that; the 1 - (1-delta)^k (1-delta_j) wrapper then gives the composed
+    value.  clamped_j flags a log(1 - delta_j) that rounded above 0 and was
+    clipped.  The composed eta is delta_0, which is computed even where
+    j = 0 is not among the levels.  The level masses come one budget at a
+    time; the tail sums, the wrapper and the delta check run on all rows at
+    once.  Callers check k*eps (``_check_k_eps``) first, budget by budget.
+    """
+    eps = np.asarray(eps, dtype=float)
+    log_w = np.empty((eps.size, 2 * k + 1))
+    for row, e, a in zip(log_w, eps.tolist(), alpha):
+        row[:] = _level_log_masses(k, e, a)
+    log_delta, log_keep = _log_tail_sums(log_w, eps)
+    del log_w
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(
             log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
         )
-    log_wrap = k * math.log1p(-delta) if delta < 1.0 else -math.inf
+    del log_delta, log_keep
+    log_wrap = [[k * math.log1p(-d) if d < 1.0 else -math.inf] for d in delta]
     clamped = inner > 0.0
-    log_keep = log_wrap + np.where(clamped, 0.0, inner)
-    kept = log_keep[levels]
+    inner[clamped] = 0.0
+    log_keep = np.add(log_wrap, inner, out=inner)
+    kept = log_keep[:, levels]
     _check_deltas(-np.expm1(kept))
-    return np.arange(k + 1)[levels], kept, clamped[levels], -math.expm1(log_keep[0])
+    eta = [-math.expm1(x) for x in log_keep[:, 0].tolist()]
+    return np.arange(k + 1)[levels], kept, clamped[:, levels], eta
+
+
+def _ledger_columns(
+    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
+):
+    """``_grid_columns`` of one budget, as 1-D columns and a float eta."""
+    _check_k_eps(k, eps)
+    j, log_keep, clamped, eta = _grid_columns(k, [eps], [delta], [alpha], levels)
+    return j, log_keep[0], clamped[0], eta[0]
 
 
 def _ledger(
@@ -254,18 +296,32 @@ def _kairouz_levels(k: int) -> slice:
     return slice(k % 2, None, 2)
 
 
-def _kairouz_curve(epsilon: float, delta: float, k: int) -> TradeoffCurve:
-    """``ledger_to_curve(compose_kairouz(epsilon, delta, k))`` from the
-    builder's columns."""
-    PrivacyBudget.from_dp(epsilon, delta)
-    j, log_keep, _, _ = _ledger_columns(k, epsilon, delta, 0.0, _kairouz_levels(k))
-    return _lines_to_curve(j * epsilon, log_keep)
+def _kairouz_curves(epsilons, deltas, k: int) -> list[TradeoffCurve]:
+    """``ledger_to_curve(compose_kairouz(epsilon, delta, k))`` for each
+    (epsilon, delta), from one batch of the builder's columns.  Each pair
+    is checked in turn, so the first error is the one that composing them
+    one at a time would raise."""
+    for epsilon, delta in zip(epsilons, deltas):
+        PrivacyBudget.from_dp(epsilon, delta)
+        _check_k_eps(k, epsilon)
+    j, log_keep, _, _ = _grid_columns(
+        k, epsilons, deltas, [0.0] * len(epsilons), _kairouz_levels(k)
+    )
+    return _lines_to_curves(j * np.asarray(epsilons)[:, None], log_keep)
+
+
+def _lines_to_curves(eps_j: np.ndarray, log_keep: np.ndarray) -> list[TradeoffCurve]:
+    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)) of each
+    row; the log form keeps intercepts alive once delta_j rounds to 1."""
+    floor = np.full((log_keep.shape[0], 1), -np.inf)
+    lm, lb = _dp_lines(eps_j, log_keep)
+    # built in the call, so that the envelope frees them once it has sorted
+    return _upper_envelopes(np.hstack((*lm, floor)), np.hstack((*lb, floor)))
 
 
 def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)); the log
-    form keeps intercepts alive once delta_j rounds to 1."""
-    return _upper_envelope(*map(np.concatenate, _dp_lines(eps_j, log_keep)))
+    """``_lines_to_curves`` of one row."""
+    return _lines_to_curves(eps_j[None], log_keep[None])[0]
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:
@@ -460,12 +516,20 @@ def compose_types_approx(
     return _ledger(budget, k, _composable_alpha(budget), "types")
 
 
-def _types_curve(
-    budget: PrivacyBudget, k: int, tol: float
-) -> tuple[TradeoffCurve, float]:
+def _types_curves(
+    budgets, k: int, tol: float
+) -> tuple[list[TradeoffCurve], list[float]]:
     """``ledger_to_curve`` and ``composed_eta`` of
-    ``compose_types_approx(budget, k, tol)`` from the builder's columns."""
-    _check_tol(tol)
-    alpha = _composable_alpha(budget)
-    j, log_keep, _, eta = _ledger_columns(k, budget.epsilon, budget.delta, alpha)
-    return _lines_to_curve(j * budget.epsilon, log_keep), eta
+    ``compose_types_approx(budget, k, tol)`` for each of ``budgets``, from
+    one batch of the builder's columns.  Each budget is checked as it is
+    drawn, so the first error is the one that composing them one at a time
+    would raise."""
+    eps, delta, alpha = [], [], []
+    for budget in budgets:
+        _check_tol(tol)
+        alpha.append(_composable_alpha(budget))
+        _check_k_eps(k, budget.epsilon)
+        eps.append(budget.epsilon)
+        delta.append(budget.delta)
+    j, log_keep, _, eta = _grid_columns(k, eps, delta, alpha)
+    return _lines_to_curves(j * np.array(eps)[:, None], log_keep), eta

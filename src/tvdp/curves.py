@@ -15,6 +15,10 @@ cap on the slope and no floor on t.  The linear ``xs``/``ys`` arrays are a
 view for output and for evaluation at double-precision t; a curve built from
 its log form derives that view on first access, so curves that are only
 intersected or queried in log coordinates never build it.
+
+``_upper_envelopes`` builds the envelopes of many line families at once,
+one per row of equal-length 2-D arrays; ``_upper_envelope``, behind every
+single curve, is its one-row case.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _LOG_VIEW_FLOOR = math.log(_VIEW_FLOOR)
 _SAME_LOG_T = 1e-15
 
 # Vectorised pruning passes of the envelope before a sequential scan
-# finishes the job (see _upper_envelope).
+# finishes the job (see _upper_envelopes).
 _MAX_PASSES = 32
 
 
@@ -342,50 +346,104 @@ def _hull_scan(lm: np.ndarray, lb: np.ndarray):
 
 
 def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
-    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0.
+    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0:
+    the one-row case of ``_upper_envelopes``, which frees the rows built
+    here once it has sorted them."""
+    return _upper_envelopes(
+        np.append(np.asarray(log_slopes, dtype=float), -np.inf)[None],
+        np.append(np.asarray(log_intercepts, dtype=float), -np.inf)[None],
+    )[0]
 
-    Line i is given by lm = log of its slope's magnitude and lb = log of its
-    intercept, so slopes and intercepts of any size are exact.  Lines are
-    sorted steepest first; a line survives only if it hands over to its
-    successor after it takes over from its predecessor.  Each pass drops
-    every line that fails this test at once (a line below the maximum of
-    its two neighbours is below the envelope of the rest), until none does.
-    The crossings are computed once; a pass recomputes only those of the
-    pairs its drops made adjacent.  Chains of lines that each surface only
-    once a neighbour goes could need a pass per line, so past _MAX_PASSES a
-    sequential scan finishes.
-    Callers must supply a line family whose envelope is a valid curve
+
+def _upper_envelopes(lm: np.ndarray, lb: np.ndarray) -> list[TradeoffCurve]:
+    """The upper envelope over [0, 1] of each row's lines f = e^lb - e^lm t.
+
+    Line i of a row is given by lm = log of its slope's magnitude and lb =
+    log of its intercept, so slopes and intercepts of any size are exact.
+    The rows have equal length and each ends with the floor line f = 0
+    (lm = lb = -inf).  Lines are sorted steepest first; a line survives
+    only if it hands over to its successor after it takes over from its
+    predecessor.  Each pass drops every line that fails this test at once
+    (a line below the maximum of its two neighbours is below the envelope
+    of the rest), until none does.  The crossings are computed once; a
+    pass recomputes only those of the pairs its drops made adjacent.
+    Chains of lines that each surface only once a neighbour goes could need
+    a pass per line, so past _MAX_PASSES a sequential scan finishes each
+    row.  Sorting and prefiltering run on the 2-D rows, and the passes on
+    all rows' lines laid end to end.  There a row's floor line and the next
+    row's first line share a NaN crossing slot, for which the test above is
+    false: neither is ever hidden, the crossing between them is never
+    computed (the first crossings come row by row, which also keeps their
+    temporaries small), and the NaN slots mark where each row ends.
+    Callers must supply line families whose envelopes are valid curves
     (bounded by 1 - t, enforced by validation).
     """
-    lm = np.append(np.asarray(log_slopes, dtype=float), -np.inf)
-    lb = np.append(np.asarray(log_intercepts, dtype=float), -np.inf)
-    order = np.lexsort((-lb, -lm))
-    lm, lb = lm[order], lb[order]
+    rows, width = lm.shape
+    if rows == 1:  # 1-D from here, where numpy's per-call cost is lower
+        lm, lb = lm[0], lb[0]
+    # Steepest first and, within a slope, the highest intercept last.  The
+    # columns are sorted flipped, so that equal lines keep the first one
+    # given (and a zero slope its sign).  Each array is gathered on its own,
+    # so that the unsorted rows can go as soon as they are read.
+    order = np.lexsort((lb[..., ::-1], -lm[..., ::-1]))
+    if rows == 1:
+        lm = lm[::-1][order]
+        lb = lb[::-1][order]
+    else:
+        # the flat index of a sorted line: its row's last index minus its
+        # flipped column
+        row_last = np.arange(width - 1, rows * width, width)[:, None]
+        np.subtract(row_last, order, out=order)
+        lm = lm.ravel()[order]
+        lb = lb.ravel()[order]
+    del order
     # One line per slope (the highest), and only lines that start above
     # every flatter line: a steeper line that starts no higher never leads.
-    keep = np.ones(lm.size, dtype=bool)
-    keep[1:] = lm[1:] != lm[:-1]
-    lm, lb = lm[keep], lb[keep]
-    flatter_best = np.maximum.accumulate(lb[::-1])[::-1]
-    keep = np.ones(lm.size, dtype=bool)
-    keep[:-1] = lb[:-1] > flatter_best[1:]
+    keep = np.ones(lm.shape, dtype=bool)
+    keep[..., :-1] = lm[..., :-1] != lm[..., 1:]
+    flatter_best = np.maximum.accumulate(lb[..., ::-1], axis=-1)[..., ::-1]
+    keep[..., :-1] &= lb[..., :-1] > flatter_best[..., 1:]
+    del flatter_best
     lm, lb = lm[keep], lb[keep]
 
-    cross = _crossings(lm, lb)
+    if rows == 1:
+        cross = _crossings(lm, lb)
+    else:
+        cross = np.full(lm.size - 1, np.nan)
+        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        for start, end in zip([0] + ends[:-1], ends):
+            cross[start : end - 1] = _crossings(lm[start:end], lb[start:end])
+    del keep
     for _ in range(_MAX_PASSES):
         hidden = _hands_over_first(cross[:-1], cross[1:])
         if not hidden.any():
             break
         keep = np.ones(lm.size, dtype=bool)
         keep[1:-1] = ~hidden
-        idx = np.flatnonzero(keep)
-        lm, lb, cross = lm[idx], lb[idx], cross[idx[:-1]]
-        fresh = np.flatnonzero(np.diff(idx) > 1)
+        lm = lm[keep]
+        lb = lb[keep]
+        cross = cross[keep[:-1]]
+        fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
         cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
     else:
-        lm, lb = _hull_scan(lm, lb)
-        cross = _crossings(lm, lb)
+        scanned = (_hull_scan(m, b) for m, b, _ in _rows(rows, lm, lb, cross))
+        return [_hull_curve(m, b, _crossings(m, b)) for m, b in scanned]
+    return [_hull_curve(m, b, c) for m, b, c in _rows(rows, lm, lb, cross)]
 
+
+def _rows(rows: int, lm: np.ndarray, lb: np.ndarray, cross: np.ndarray):
+    """(lm, lb, crossings) of each row of the pass loop's lines, split at
+    the NaN crossing slots.  Several rows' lines are copied out, so that
+    their curves do not keep the whole batch alive."""
+    if rows == 1:
+        return [(lm, lb, cross)]
+    ends = np.flatnonzero(np.isnan(cross)) + 1
+    parts = (np.split(a, ends) for a in (lm, lb, np.append(cross, np.nan)))
+    return [(m.copy(), b.copy(), c[:-1]) for m, b, c in zip(*parts)]
+
+
+def _hull_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCurve:
+    """The curve of one envelope from its hull lines and their crossings."""
     # Lines that take over only at t >= 1 are outside the curve (the
     # crossings increase along the hull).
     n = 1 + int(np.count_nonzero(cross < 0.0))

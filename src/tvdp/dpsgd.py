@@ -2,18 +2,20 @@
 
 Each grid epsilon yields a per-step (epsilon, delta(epsilon), eta) budget;
 the budgets compose over the run's step count and the resulting regions
-are intersected.  Each composed curve and TV is built straight from the
-composition kernel's columns, under the checks the public ledgers run,
-so no ``CompositionLedger`` or ``LedgerEntry`` is made along the way.  The
-per-step mu is an input: deriving it from noise multiplier and sampling
-rate is out of scope here.
+are intersected.  The grid composes as one batch: one call of the
+composition kernel gives every budget's columns as a row, and one
+envelope call turns the rows into curves, under the checks the public
+ledgers run, so no ``CompositionLedger`` or ``LedgerEntry`` is made along
+the way.  Each Gaussian profile value is computed once and shared by the
+refined and the baseline grid.  The per-step mu is an input: deriving it
+from noise multiplier and sampling rate is out of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .composition import _kairouz_curve, _types_curve
+from .composition import _kairouz_curves, _types_curves
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
@@ -66,12 +68,13 @@ class SgdConfig:
         return int(round(self.epochs * self.dataset_size / self.batch_size))
 
 
-def _step_budget_info(step_mu: float, epsilon: float) -> tuple[PrivacyBudget, bool]:
-    delta = gaussian_delta(step_mu, epsilon)
-    eta = gaussian_tv(step_mu)
+def _step_budget_info(
+    epsilon: float, delta: float, eta: float
+) -> tuple[PrivacyBudget, bool]:
+    """The step budget at one grid epsilon from its profile values
+    delta(epsilon) and the Gaussian TV, and whether eta was clamped."""
     cap = tv_feasibility_cap(epsilon, delta)
-    clamped = eta > cap
-    return PrivacyBudget(epsilon, delta, min(eta, cap)), clamped
+    return PrivacyBudget(epsilon, delta, min(eta, cap)), eta > cap
 
 
 def step_budget(step_mu: float, epsilon: float) -> PrivacyBudget:
@@ -85,26 +88,38 @@ def step_budget(step_mu: float, epsilon: float) -> PrivacyBudget:
         raise ValidationError("step_mu must be positive")
     if not epsilon > 0.0:
         raise ValidationError("epsilon must be positive")
-    return _step_budget_info(step_mu, epsilon)[0]
+    delta = gaussian_delta(step_mu, epsilon)
+    return _step_budget_info(epsilon, delta, gaussian_tv(step_mu))[0]
 
 
-def _per_epsilon_curves(config: SgdConfig, tol: float):
-    k = config.steps
-    records = []
-    for eps in config.epsilon_grid:
-        budget, clamped = _step_budget_info(config.step_mu, eps)
-        curve, composed_tv = _types_curve(budget, k, tol)
-        records.append(
-            {
-                "epsilon": eps,
-                "delta": budget.delta,
-                "eta": budget.eta,
-                "eta_clamped": clamped,
-                "composed_tv": composed_tv,
-                "curve": curve,
-            }
-        )
-    return records
+def _grid_deltas(config: SgdConfig) -> list[float]:
+    """The Gaussian profile delta(epsilon) at each grid epsilon."""
+    return [gaussian_delta(config.step_mu, eps) for eps in config.epsilon_grid]
+
+
+def _per_epsilon_curves(config: SgdConfig, tol: float, deltas=None):
+    if deltas is None:
+        deltas = _grid_deltas(config)
+    eta = gaussian_tv(config.step_mu)
+    steps = []
+
+    def budgets():  # built as composition draws them, so errors keep grid order
+        for eps, delta in zip(config.epsilon_grid, deltas):
+            steps.append(_step_budget_info(eps, delta, eta))
+            yield steps[-1][0]
+
+    curves, composed_tvs = _types_curves(budgets(), config.steps, tol)
+    return [
+        {
+            "epsilon": budget.epsilon,
+            "delta": budget.delta,
+            "eta": budget.eta,
+            "eta_clamped": clamped,
+            "composed_tv": composed_tv,
+            "curve": curve,
+        }
+        for (budget, clamped), curve, composed_tv in zip(steps, curves, composed_tvs)
+    ]
 
 
 def sgd_region(config: SgdConfig, tol: float = 1e-6) -> TradeoffCurve:
@@ -115,10 +130,7 @@ def sgd_region(config: SgdConfig, tol: float = 1e-6) -> TradeoffCurve:
 def sgd_region_baseline(config: SgdConfig) -> TradeoffCurve:
     """Same pipeline with the TV-blind baseline composition."""
     return intersect(
-        [
-            _kairouz_curve(eps, gaussian_delta(config.step_mu, eps), config.steps)
-            for eps in config.epsilon_grid
-        ]
+        _kairouz_curves(config.epsilon_grid, _grid_deltas(config), config.steps)
     )
 
 
@@ -133,9 +145,10 @@ def sgd_compare(
     epsilon: the delta implied by each intersected curve.  The externally
     reported moments-accountant point is included as an annotation only.
     """
-    records = _per_epsilon_curves(config, tol)
+    deltas = _grid_deltas(config)
+    records = _per_epsilon_curves(config, tol, deltas)
     refined = intersect([r["curve"] for r in records])
-    baseline = sgd_region_baseline(config)
+    baseline = intersect(_kairouz_curves(config.epsilon_grid, deltas, config.steps))
     per_eps = [{key: r[key] for key in r if key != "curve"} for r in records]
     # min_gap, max_gap and strict_improvement, from one gap evaluation
     gaps = _gaps(refined, baseline)

@@ -149,12 +149,13 @@ class TestSgdCompare:
         def recorded(build, into):
             def wrapper(*args, **kwargs):
                 out = build(*args, **kwargs)
-                into.append(out[0] if isinstance(out, tuple) else out)
+                curves = out[0] if isinstance(out, tuple) else out
+                into.extend(curves if isinstance(curves, list) else [curves])
                 return out
             return wrapper
 
-        monkeypatch.setattr(dpsgd, "_types_curve", recorded(dpsgd._types_curve, made))
-        monkeypatch.setattr(dpsgd, "_kairouz_curve", recorded(dpsgd._kairouz_curve, made))
+        monkeypatch.setattr(dpsgd, "_types_curves", recorded(dpsgd._types_curves, made))
+        monkeypatch.setattr(dpsgd, "_kairouz_curves", recorded(dpsgd._kairouz_curves, made))
         monkeypatch.setattr(dpsgd, "intersect", recorded(dpsgd.intersect, intersected))
         derive = TradeoffCurve._derive_view
         monkeypatch.setattr(
@@ -264,6 +265,24 @@ class TestColumnPathMatchesLedgers:
         assert rep["dominance"]["strict"] is True
         with pytest.raises(AssertionError, match="ledger object built"):
             compose_types_approx(step_budget(MU, 1.0), 3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [sgd_compare, sgd_region, sgd_region_baseline],
+    ids=["compare", "region", "baseline"],
+)
+@pytest.mark.parametrize(
+    "grid", [(1.0, 1e308), (0.5, 1e308, math.inf)], ids=["last", "middle"]
+)
+def test_later_grid_epsilon_overflowing_k_eps_is_named(run, grid):
+    # the grid composes as one batch, but its budgets are checked in grid
+    # order: the overflow names its epsilon and k, ahead of the infinite
+    # epsilon after it
+    config = SgdConfig(100, 10, 1.0, 0.5, grid)
+    assert config.steps == 10
+    with pytest.raises(ValidationError, match=r"epsilon = 1e\+308 is too large for k = 10"):
+        run(config)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
