@@ -217,7 +217,10 @@ def _cmd_sgd(args) -> int:
         raise ValidationError("--eps-step must be positive and finite")
     if not (math.isfinite(args.eps_from) and math.isfinite(args.eps_to)):
         raise ValidationError("--eps-from and --eps-to must be finite")
-    count = int(round((args.eps_to - args.eps_from) / args.eps_step)) + 1
+    span = (args.eps_to - args.eps_from) / args.eps_step
+    if not math.isfinite(span):
+        raise ValidationError("--eps-step is too small for the range of the grid")
+    count = int(round(span)) + 1
     grid = tuple(
         round(args.eps_from + i * args.eps_step, 12) for i in range(max(count, 1))
     )

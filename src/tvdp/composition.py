@@ -23,7 +23,7 @@ from .curves import (
     TradeoffCurve,
     _dp_lines,
     _roc_from_atoms,
-    _upper_envelopes,
+    _upper_envelope,
     curve_from_pair,
 )
 from .divergences import DiscretePair
@@ -296,32 +296,26 @@ def _kairouz_levels(k: int) -> slice:
     return slice(k % 2, None, 2)
 
 
-def _kairouz_curves(epsilons, deltas, k: int) -> list[TradeoffCurve]:
-    """``ledger_to_curve(compose_kairouz(epsilon, delta, k))`` for each
-    (epsilon, delta), from one batch of the builder's columns.  Each pair
-    is checked in turn, so the first error is the one that composing them
-    one at a time would raise."""
+def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
+    """``intersect`` of ``ledger_to_curve(compose_kairouz(epsilon, delta, k))``
+    over the (epsilon, delta) pairs, as one envelope of the DP lines of all
+    their ledgers, from one batch of the builder's columns.  Each pair is
+    checked in turn, so the first error is the one that composing them one
+    at a time would raise."""
     for epsilon, delta in zip(epsilons, deltas):
         PrivacyBudget.from_dp(epsilon, delta)
         _check_k_eps(k, epsilon)
     j, log_keep, _, _ = _grid_columns(
         k, epsilons, deltas, [0.0] * len(epsilons), _kairouz_levels(k)
     )
-    return _lines_to_curves(j * np.asarray(epsilons)[:, None], log_keep)
-
-
-def _lines_to_curves(eps_j: np.ndarray, log_keep: np.ndarray) -> list[TradeoffCurve]:
-    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)) of each
-    row; the log form keeps intercepts alive once delta_j rounds to 1."""
-    floor = np.full((log_keep.shape[0], 1), -np.inf)
-    lm, lb = _dp_lines(eps_j, log_keep)
-    # built in the call, so that the envelope frees them once it has sorted
-    return _upper_envelopes(np.hstack((*lm, floor)), np.hstack((*lb, floor)))
+    return _lines_to_curve(j * np.asarray(epsilons)[:, None], log_keep)
 
 
 def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """``_lines_to_curves`` of one row."""
-    return _lines_to_curves(eps_j[None], log_keep[None])[0]
+    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)), in
+    arrays of any one shape; the log form keeps intercepts alive once
+    delta_j rounds to 1."""
+    return _upper_envelope(*_dp_lines(eps_j, log_keep))
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:
@@ -516,14 +510,12 @@ def compose_types_approx(
     return _ledger(budget, k, _composable_alpha(budget), "types")
 
 
-def _types_curves(
-    budgets, k: int, tol: float
-) -> tuple[list[TradeoffCurve], list[float]]:
-    """``ledger_to_curve`` and ``composed_eta`` of
-    ``compose_types_approx(budget, k, tol)`` for each of ``budgets``, from
-    one batch of the builder's columns.  Each budget is checked as it is
-    drawn, so the first error is the one that composing them one at a time
-    would raise."""
+def _types_region(budgets, k: int, tol: float) -> tuple[TradeoffCurve, list[float]]:
+    """``intersect`` of ``ledger_to_curve(compose_types_approx(budget, k,
+    tol))`` over ``budgets``, as one envelope of the DP lines of all their
+    ledgers, and the ``composed_eta`` of each, from one batch of the
+    builder's columns.  Each budget is checked as it is drawn, so the first
+    error is the one that composing them one at a time would raise."""
     eps, delta, alpha = [], [], []
     for budget in budgets:
         _check_tol(tol)
@@ -532,4 +524,4 @@ def _types_curves(
         eps.append(budget.epsilon)
         delta.append(budget.delta)
     j, log_keep, _, eta = _grid_columns(k, eps, delta, alpha)
-    return _lines_to_curves(j * np.array(eps)[:, None], log_keep), eta
+    return _lines_to_curve(j * np.array(eps)[:, None], log_keep), eta

@@ -16,9 +16,10 @@ view for output and for evaluation at double-precision t; a curve built from
 its log form derives that view on first access, so curves that are only
 intersected or queried in log coordinates never build it.
 
-``_upper_envelopes`` builds the envelopes of many line families at once,
-one per row of equal-length 2-D arrays; ``_upper_envelope``, behind every
-single curve, is its one-row case.
+One function, ``_upper_envelope``, builds every curve: a budget's three
+lines, a ledger's DP lines, the lines of an intersection, and the DP lines
+of a whole grid of ledgers at once, which is the intersection of their
+regions.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _LOG_VIEW_FLOOR = math.log(_VIEW_FLOOR)
 _SAME_LOG_T = 1e-15
 
 # Vectorised pruning passes of the envelope before a sequential scan
-# finishes the job (see _upper_envelopes).
+# finishes the job (see _upper_envelope).
 _MAX_PASSES = 32
 
 
@@ -346,74 +347,43 @@ def _hull_scan(lm: np.ndarray, lb: np.ndarray):
 
 
 def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
-    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0:
-    the one-row case of ``_upper_envelopes``, which frees the rows built
-    here once it has sorted them."""
-    return _upper_envelopes(
-        np.append(np.asarray(log_slopes, dtype=float), -np.inf)[None],
-        np.append(np.asarray(log_intercepts, dtype=float), -np.inf)[None],
-    )[0]
+    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0.
 
-
-def _upper_envelopes(lm: np.ndarray, lb: np.ndarray) -> list[TradeoffCurve]:
-    """The upper envelope over [0, 1] of each row's lines f = e^lb - e^lm t.
-
-    Line i of a row is given by lm = log of its slope's magnitude and lb =
-    log of its intercept, so slopes and intercepts of any size are exact.
-    The rows have equal length and each ends with the floor line f = 0
-    (lm = lb = -inf).  Lines are sorted steepest first; a line survives
-    only if it hands over to its successor after it takes over from its
-    predecessor.  Each pass drops every line that fails this test at once
-    (a line below the maximum of its two neighbours is below the envelope
-    of the rest), until none does.  The crossings are computed once; a
-    pass recomputes only those of the pairs its drops made adjacent.
-    Chains of lines that each surface only once a neighbour goes could need
-    a pass per line, so past _MAX_PASSES a sequential scan finishes each
-    row.  Sorting and prefiltering run on the 2-D rows, and the passes on
-    all rows' lines laid end to end.  There a row's floor line and the next
-    row's first line share a NaN crossing slot, for which the test above is
-    false: neither is ever hidden, the crossing between them is never
-    computed (the first crossings come row by row, which also keeps their
-    temporaries small), and the NaN slots mark where each row ends.
-    Callers must supply line families whose envelopes are valid curves
+    Line i is given by lm = log of its slope's magnitude and lb = log of its
+    intercept, so slopes and intercepts of any size are exact.  Each
+    argument is array-like, or a tuple of array parts (as ``_dp_lines``
+    gives them); arrays of any shape are read in row-major order.  The
+    lines are laid end to end here, so that these copies go once sorted.
+    Lines are sorted steepest first; a line survives only if it hands over
+    to its successor after it takes over from its predecessor.  Each pass
+    drops every line that fails this test at once (a line below the
+    maximum of its two neighbours is below the envelope of the rest), until
+    none does.  The crossings are computed once; a pass recomputes only
+    those of the pairs its drops made adjacent.  Chains of lines that each
+    surface only once a neighbour goes could need a pass per line, so past
+    _MAX_PASSES a sequential scan finishes.
+    Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).
     """
-    rows, width = lm.shape
-    if rows == 1:  # 1-D from here, where numpy's per-call cost is lower
-        lm, lb = lm[0], lb[0]
+    lm = _laid_out(log_slopes)
+    lb = _laid_out(log_intercepts)
     # Steepest first and, within a slope, the highest intercept last.  The
-    # columns are sorted flipped, so that equal lines keep the first one
-    # given (and a zero slope its sign).  Each array is gathered on its own,
-    # so that the unsorted rows can go as soon as they are read.
-    order = np.lexsort((lb[..., ::-1], -lm[..., ::-1]))
-    if rows == 1:
-        lm = lm[::-1][order]
-        lb = lb[::-1][order]
-    else:
-        # the flat index of a sorted line: its row's last index minus its
-        # flipped column
-        row_last = np.arange(width - 1, rows * width, width)[:, None]
-        np.subtract(row_last, order, out=order)
-        lm = lm.ravel()[order]
-        lb = lb.ravel()[order]
+    # lines are sorted flipped, so that equal lines keep the first one given
+    # (and a zero slope its sign).
+    order = np.lexsort((lb[::-1], -lm[::-1]))
+    lm = lm[::-1][order]
+    lb = lb[::-1][order]
     del order
     # One line per slope (the highest), and only lines that start above
     # every flatter line: a steeper line that starts no higher never leads.
-    keep = np.ones(lm.shape, dtype=bool)
-    keep[..., :-1] = lm[..., :-1] != lm[..., 1:]
-    flatter_best = np.maximum.accumulate(lb[..., ::-1], axis=-1)[..., ::-1]
-    keep[..., :-1] &= lb[..., :-1] > flatter_best[..., 1:]
+    keep = np.ones(lm.size, dtype=bool)
+    keep[:-1] = lm[:-1] != lm[1:]
+    flatter_best = np.maximum.accumulate(lb[::-1])[::-1]
+    keep[:-1] &= lb[:-1] > flatter_best[1:]
     del flatter_best
     lm, lb = lm[keep], lb[keep]
 
-    if rows == 1:
-        cross = _crossings(lm, lb)
-    else:
-        cross = np.full(lm.size - 1, np.nan)
-        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-        for start, end in zip([0] + ends[:-1], ends):
-            cross[start : end - 1] = _crossings(lm[start:end], lb[start:end])
-    del keep
+    cross = _crossings(lm, lb)
     for _ in range(_MAX_PASSES):
         hidden = _hands_over_first(cross[:-1], cross[1:])
         if not hidden.any():
@@ -426,20 +396,16 @@ def _upper_envelopes(lm: np.ndarray, lb: np.ndarray) -> list[TradeoffCurve]:
         fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
         cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
     else:
-        scanned = (_hull_scan(m, b) for m, b, _ in _rows(rows, lm, lb, cross))
-        return [_hull_curve(m, b, _crossings(m, b)) for m, b in scanned]
-    return [_hull_curve(m, b, c) for m, b, c in _rows(rows, lm, lb, cross)]
+        lm, lb = _hull_scan(lm, lb)
+        cross = _crossings(lm, lb)
+    return _hull_curve(lm, lb, cross)
 
 
-def _rows(rows: int, lm: np.ndarray, lb: np.ndarray, cross: np.ndarray):
-    """(lm, lb, crossings) of each row of the pass loop's lines, split at
-    the NaN crossing slots.  Several rows' lines are copied out, so that
-    their curves do not keep the whole batch alive."""
-    if rows == 1:
-        return [(lm, lb, cross)]
-    ends = np.flatnonzero(np.isnan(cross)) + 1
-    parts = (np.split(a, ends) for a in (lm, lb, np.append(cross, np.nan)))
-    return [(m.copy(), b.copy(), c[:-1]) for m, b, c in zip(*parts)]
+def _laid_out(lines) -> np.ndarray:
+    """The values of ``lines`` (array-like, or a tuple of array parts) end
+    to end in one 1-D array, then the floor line's -inf."""
+    parts = lines if isinstance(lines, tuple) else (lines,)
+    return np.concatenate([np.ravel(p) for p in parts] + [[-np.inf]], dtype=float)
 
 
 def _hull_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCurve:
@@ -470,7 +436,7 @@ def _dp_lines(eps, log_keep):
     """The two DP lines of each (eps, log(1 - delta)), f = (1-delta) - e^eps t
     and its mirror f = e^-eps (1-delta-t), as the log slopes and the log
     intercepts that ``_upper_envelope`` takes, each split in two parts:
-    scalars for one budget, arrays for a ledger."""
+    scalars for one budget, arrays for a ledger or a grid of ledgers."""
     return (eps, -eps), (log_keep, log_keep - eps)
 
 
@@ -503,8 +469,7 @@ def intersect(curves) -> TradeoffCurve:
     if not curves:
         raise ValueError("intersect requires at least one curve")
     return _upper_envelope(
-        np.concatenate([c._lm for c in curves]),
-        np.concatenate([c._lb for c in curves]),
+        tuple(c._lm for c in curves), tuple(c._lb for c in curves)
     )
 
 

@@ -3,26 +3,26 @@
 Each grid epsilon yields a per-step (epsilon, delta(epsilon), eta) budget;
 the budgets compose over the run's step count and the resulting regions
 are intersected.  The grid composes as one batch: one call of the
-composition kernel gives every budget's columns as a row, and one
-envelope call turns the rows into curves, under the checks the public
-ledgers run, so no ``CompositionLedger`` or ``LedgerEntry`` is made along
-the way.  Each Gaussian profile value is computed once and shared by the
-refined and the baseline grid.  The per-step mu is an input: deriving it
-from noise multiplier and sampling rate is out of scope here.
+composition kernel gives every budget's columns as a row, under the checks
+the public ledgers run.  Intersecting the regions is one envelope of the DP
+lines of all the rows, so no ``CompositionLedger``, ``LedgerEntry`` or
+curve per budget is made along the way.  Each Gaussian profile value is
+computed once and shared by the refined and the baseline grid.  The
+per-step mu is an input: deriving it from noise multiplier and sampling
+rate is out of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .composition import _kairouz_curves, _types_curves
+from .composition import _kairouz_region, _types_region
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
     _gaps,
     _strict,
     delta_at_epsilon,
-    intersect,
     tv_feasibility_cap,
 )
 from .errors import ValidationError
@@ -97,7 +97,9 @@ def _grid_deltas(config: SgdConfig) -> list[float]:
     return [gaussian_delta(config.step_mu, eps) for eps in config.epsilon_grid]
 
 
-def _per_epsilon_curves(config: SgdConfig, tol: float, deltas=None):
+def _refined_region(config: SgdConfig, tol: float, deltas=None):
+    """The intersected TV-aware region of the grid and one record per grid
+    epsilon: its step budget, whether eta was clamped, and its composed TV."""
     if deltas is None:
         deltas = _grid_deltas(config)
     eta = gaussian_tv(config.step_mu)
@@ -108,30 +110,28 @@ def _per_epsilon_curves(config: SgdConfig, tol: float, deltas=None):
             steps.append(_step_budget_info(eps, delta, eta))
             yield steps[-1][0]
 
-    curves, composed_tvs = _types_curves(budgets(), config.steps, tol)
-    return [
+    region, composed_tvs = _types_region(budgets(), config.steps, tol)
+    records = [
         {
             "epsilon": budget.epsilon,
             "delta": budget.delta,
             "eta": budget.eta,
             "eta_clamped": clamped,
             "composed_tv": composed_tv,
-            "curve": curve,
         }
-        for (budget, clamped), curve, composed_tv in zip(steps, curves, composed_tvs)
+        for (budget, clamped), composed_tv in zip(steps, composed_tvs)
     ]
+    return region, records
 
 
 def sgd_region(config: SgdConfig, tol: float = 1e-6) -> TradeoffCurve:
     """Intersected composed region over the whole epsilon grid."""
-    return intersect([r["curve"] for r in _per_epsilon_curves(config, tol)])
+    return _refined_region(config, tol)[0]
 
 
 def sgd_region_baseline(config: SgdConfig) -> TradeoffCurve:
     """Same pipeline with the TV-blind baseline composition."""
-    return intersect(
-        _kairouz_curves(config.epsilon_grid, _grid_deltas(config), config.steps)
-    )
+    return _kairouz_region(config.epsilon_grid, _grid_deltas(config), config.steps)
 
 
 def sgd_compare(
@@ -146,10 +146,8 @@ def sgd_compare(
     reported moments-accountant point is included as an annotation only.
     """
     deltas = _grid_deltas(config)
-    records = _per_epsilon_curves(config, tol, deltas)
-    refined = intersect([r["curve"] for r in records])
-    baseline = intersect(_kairouz_curves(config.epsilon_grid, deltas, config.steps))
-    per_eps = [{key: r[key] for key in r if key != "curve"} for r in records]
+    refined, per_eps = _refined_region(config, tol, deltas)
+    baseline = _kairouz_region(config.epsilon_grid, deltas, config.steps)
     # min_gap, max_gap and strict_improvement, from one gap evaluation
     gaps = _gaps(refined, baseline)
     top_gap = float(gaps.max())

@@ -313,11 +313,14 @@ class TestSgd:
             ("--eps-step", "nan"),
             ("--eps-step", "inf"),
             ("--eps-to", "inf"),
+            # (to - from) / step overflows a double
+            ("--eps-step", "5e-324"),
+            ("--eps-to", "1e300", "--eps-step", "1e-300"),
         ],
     )
     def test_bad_grid_exit_2(self, capsys, bounds):
         argv = {"--eps-from": "0.5", "--eps-to": "2.0", "--eps-step": "0.5"}
-        argv.update([bounds])
+        argv.update(zip(bounds[::2], bounds[1::2]))
         code, out, err = run(
             capsys, "sgd", "--n", "1000", "--batch", "100", "--epochs", "2",
             "--mu", str(1 / 1.3), *(x for item in argv.items() for x in item),

@@ -417,25 +417,8 @@ def test_random_line_envelope_is_unchanged_bit_for_bit(seed, n, spread, max_pass
     _assert_envelope_matches_reference(lm, lb, max_passes)
 
 
-# Grid builds run the kernel and the envelope on all budgets at once; every
-# row must be exactly what one budget on its own gives.
-
-
-def _assert_rows_match_reference(lm, lb, max_passes):
-    """Each envelope of the rows (lm, lb) equals the reference envelope of
-    that row; the rows end with their floor line, which the reference adds."""
-    with mock.patch.object(curves, "_MAX_PASSES", max_passes):
-        envs = curves._upper_envelopes(lm, lb)
-        assert len(envs) == lm.shape[0]
-        for row, env in enumerate(envs):
-            want = _reference_envelope(lm[row, :-1], lb[row, :-1])
-            got = (env._lm, env._lb, env._lt, env._lf)
-            for name, a, b in zip(("lm", "lb", "lt", "lf"), got, want):
-                assert a.tobytes() == b.tobytes(), (row, name)
-
-
-def _with_floor(rows):
-    return np.hstack((rows, np.full((rows.shape[0], 1), -np.inf)))
+# Grid builds run the kernel on all budgets at once; every row must be
+# exactly what one budget on its own gives.
 
 
 @settings(max_examples=15, deadline=None)
@@ -451,9 +434,8 @@ def _with_floor(rows):
     ),
     k=st.integers(1, 2000),
     kairouz=st.booleans(),
-    max_passes=st.sampled_from([0, 1, 2, 32]),
 )
-def test_grid_rows_equal_single_builds_bit_for_bit(budgets, k, kairouz, max_passes):
+def test_grid_rows_equal_single_builds_bit_for_bit(budgets, k, kairouz):
     budgets = sorted(budgets)
     eps = [e for e, _, _ in budgets]
     delta = [d for _, d, _ in budgets]
@@ -476,38 +458,48 @@ def test_grid_rows_equal_single_builds_bit_for_bit(budgets, k, kairouz, max_pass
         assert log_keep[row].tobytes() == keep1.tobytes()
         assert clamped[row].tobytes() == clamped1.tobytes()
         assert eta[row].hex() == eta1.hex()
-    lm, lb = curves._dp_lines(j * np.array(eps)[:, None], log_keep)
-    lm, lb = _with_floor(np.hstack(lm)), _with_floor(np.hstack(lb))
-    _assert_rows_match_reference(lm, lb, max_passes)
+
+
+# A grid's region is one envelope of all its ledgers' lines, which must be
+# the intersection of the ledgers' own envelopes.
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 8),
+    families=st.integers(1, 8),
     n=st.integers(1, 300),
     max_passes=st.sampled_from([0, 1, 2, 32]),
 )
-def test_random_line_rows_equal_single_envelopes_bit_for_bit(seed, rows, n, max_passes):
+def test_envelope_of_line_families_equals_intersect_of_their_envelopes(
+    seed, families, n, max_passes
+):
     rng = np.random.default_rng(seed)
-    # each row its own spread, and some rows' lines mostly dominated by a
-    # few high ones, so that the rows keep different numbers of lines
-    spread = rng.choice([0.5, 3.0, 20.0, 300.0], (rows, 1))
-    lm = rng.normal(0.0, 1.0, (rows, n)) * spread
-    lm[rng.random((rows, n)) < 0.05] = 0.0
-    lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, (rows, n))), lm)  # f <= 1 - t
-    buried = rng.random((rows, n)) < rng.random((rows, 1))
+    # each family its own spread, and some families' lines mostly dominated
+    # by a few high ones, so that their envelopes keep different numbers of
+    # lines
+    spread = rng.choice([0.5, 3.0, 20.0, 300.0], (families, 1))
+    lm = rng.normal(0.0, 1.0, (families, n)) * spread
+    lm[rng.random((families, n)) < 0.05] = 0.0
+    lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, (families, n))), lm)  # f <= 1 - t
+    buried = rng.random((families, n)) < rng.random((families, 1))
     lb[buried] -= 50.0
-    # repeated lines (a zero slope repeated with the other sign) and lines
-    # on the floor, which the prefilter must resolve as one row at a time
-    again = rng.random((rows, n)) < 0.1
-    source = rng.integers(0, n, (rows, n))
+    # repeated lines (a zero slope repeated with the other sign), within a
+    # family and across families, and lines on the floor
+    again = rng.random((families, n)) < 0.1
+    source = rng.integers(0, n, (families, n))
     lm[again] = np.take_along_axis(lm, source, 1)[again]
     lb[again] = np.take_along_axis(lb, source, 1)[again]
+    shared = rng.random(n) < 0.1
+    lm[:, shared], lb[:, shared] = lm[0, shared], lb[0, shared]
     lm[again & (lm == 0.0)] *= -1.0
-    floor = rng.random((rows, n)) < 0.05
+    floor = rng.random((families, n)) < 0.05
     lm[floor] = lb[floor] = -np.inf
-    _assert_rows_match_reference(_with_floor(lm), _with_floor(lb), max_passes)
+    with mock.patch.object(curves, "_MAX_PASSES", max_passes):
+        whole = curves._upper_envelope(lm, lb)
+        parts = intersect([curves._upper_envelope(m, b) for m, b in zip(lm, lb)])
+    for name in ("_lm", "_lb", "_lt", "_lf"):
+        assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes(), name
 
 
 def test_pass_loop_computes_every_crossing_once(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tvdp.composition
+import tvdp.curves
 import tvdp.dpsgd
 from tvdp import (
     SgdConfig,
@@ -26,10 +27,13 @@ from tvdp import (
     strict_improvement,
     sup_norm,
 )
-from tvdp.curves import TradeoffCurve
-from tvdp.dpsgd import _per_epsilon_curves
+from tvdp.composition import _entries_to_curve
+from tvdp.curves import TradeoffCurve, _gaps
+from tvdp.dpsgd import _refined_region
 
 MU = 1 / 1.3
+# the 30-point grid of the C12 run shape
+C12_GRID = tuple(round(0.5 + 0.1 * i, 12) for i in range(30))
 
 
 def small_config(grid=(0.5, 1.0, 2.0)):
@@ -143,29 +147,25 @@ class TestSgdCompare:
         }
 
     def test_only_the_intersected_curves_build_a_linear_view(self, monkeypatch):
-        dpsgd = tvdp.dpsgd
-        made, intersected, derived = [], [], []
-
-        def recorded(build, into):
-            def wrapper(*args, **kwargs):
-                out = build(*args, **kwargs)
-                curves = out[0] if isinstance(out, tuple) else out
-                into.extend(curves if isinstance(curves, list) else [curves])
-                return out
-            return wrapper
-
-        monkeypatch.setattr(dpsgd, "_types_curves", recorded(dpsgd._types_curves, made))
-        monkeypatch.setattr(dpsgd, "_kairouz_curves", recorded(dpsgd._kairouz_curves, made))
-        monkeypatch.setattr(dpsgd, "intersect", recorded(dpsgd.intersect, intersected))
+        # the two intersected regions are the only curves sgd_compare makes,
+        # and both derive the linear view, for the report's vertices
+        made, derived = [], []
+        init, from_log = TradeoffCurve.__init__, TradeoffCurve._from_log.__func__
         derive = TradeoffCurve._derive_view
+        monkeypatch.setattr(
+            TradeoffCurve, "__init__", lambda c, *a, **k: made.append(c) or init(c, *a, **k)
+        )
+        monkeypatch.setattr(
+            TradeoffCurve,
+            "_from_log",
+            classmethod(lambda cls, *a: made.append(from_log(cls, *a)) or made[-1]),
+        )
         monkeypatch.setattr(
             TradeoffCurve, "_derive_view", lambda c: derived.append(c) or derive(c)
         )
-        cfg = small_config()
-        sgd_compare(cfg)
-        assert len(made) == 2 * len(cfg.epsilon_grid) and len(intersected) == 2
-        assert not any(c is d for c in made for d in derived)
-        assert all(any(c is d for d in derived) for c in intersected)
+        sgd_compare(small_config())
+        assert len(made) == 2
+        assert sorted(map(id, derived)) == sorted(map(id, made))
 
     def test_composed_tv_matches_tightest_ledger(self):
         cfg = small_config()
@@ -206,23 +206,35 @@ class TestSeparationAtDeepT:
 
 
 class TestOrderOfIntersection:
-    def test_intersect_before_or_after_curve_conversion(self):
-        # intersecting ledgers entrywise (all half-planes together) equals
-        # intersecting the per-ledger curves for half-plane families
-        cfg = small_config()
+    # intersecting ledgers entrywise (all half-planes together) is how the
+    # region is built, so it equals the curve of the merged entries bit for
+    # bit
+    @staticmethod
+    def _assert_region_is_merged_entries_curve(cfg):
         ledgers = [
-            compose_types_approx(step_budget(MU, e), cfg.steps) for e in cfg.epsilon_grid
+            compose_types_approx(step_budget(cfg.step_mu, e), cfg.steps)
+            for e in cfg.epsilon_grid
         ]
-        from tvdp.composition import _entries_to_curve
-
         merged_entries = tuple(e for led in ledgers for e in led.entries)
         combined = _entries_to_curve(merged_entries)
-        per_curve = sgd_region(cfg)
-        assert sup_norm(combined, per_curve) <= 1e-12
+        region = sgd_region(cfg)
+        for name in ("_lt", "_lf", "_lm", "_lb"):
+            assert getattr(region, name).tobytes() == getattr(combined, name).tobytes()
+
+    def test_intersect_before_or_after_curve_conversion(self):
+        self._assert_region_is_merged_entries_curve(small_config())
+
+    def test_rounding_level_line_at_879_steps(self):
+        # intersecting the 30 ledger curves one by one judges a
+        # rounding-level line against other neighbours than the merged
+        # entries do, and so drops one vertex more
+        cfg = SgdConfig(60_000, 1024, 15.0, 0.01, C12_GRID)
+        assert cfg.steps == 879
+        self._assert_region_is_merged_entries_curve(cfg)
 
 
 class TestColumnPathMatchesLedgers:
-    # sgd_compare builds its curves from the kernel's columns; each must be
+    # sgd_compare builds its regions from the kernel's columns; each must be
     # the very curve the checked public ledger path gives
     CONFIGS = [
         SgdConfig(600, 100, 1.0, 0.6, (0.5, 1.0, 2.0)),  # 6 steps
@@ -233,13 +245,18 @@ class TestColumnPathMatchesLedgers:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"k{c.steps}")
     def test_grid_curves_equal_ledger_curves(self, config):
-        for record in _per_epsilon_curves(config, 1e-6):
-            budget = step_budget(config.step_mu, record["epsilon"])
-            ledger = compose_types_approx(budget, config.steps)
-            expected = ledger_to_curve(ledger)
-            for name in ("_lt", "_lf", "_lm", "_lb"):
-                assert np.array_equal(getattr(record["curve"], name), getattr(expected, name))
-            assert record["composed_tv"] == ledger.composed_eta
+        region, records = _refined_region(config, 1e-6)
+        ledgers = [
+            compose_types_approx(step_budget(config.step_mu, r["epsilon"]), config.steps)
+            for r in records
+        ]
+        expected = _entries_to_curve(tuple(e for led in ledgers for e in led.entries))
+        for name in ("_lt", "_lf", "_lm", "_lb"):
+            assert np.array_equal(getattr(region, name), getattr(expected, name))
+        # and the intersection of the ledger curves, at every vertex of either
+        per_ledger = intersect([ledger_to_curve(led) for led in ledgers])
+        assert not np.any(_gaps(region, per_ledger))
+        assert [r["composed_tv"] for r in records] == [led.composed_eta for led in ledgers]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"k{c.steps}")
     def test_baseline_equals_kairouz_ledger_curves(self, config):
@@ -283,6 +300,20 @@ def test_later_grid_epsilon_overflowing_k_eps_is_named(run, grid):
     assert config.steps == 10
     with pytest.raises(ValidationError, match=r"epsilon = 1e\+308 is too large for k = 10"):
         run(config)
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.75, 0.9])
+def test_grid_envelopes_never_fall_back_to_the_scan(monkeypatch, mu):
+    # at the C12 shape with batch 1024 the refined region is one envelope
+    # of 52 801 lines, which the vectorised passes finish in about a third
+    # of _MAX_PASSES
+    def refuse(*args):
+        raise AssertionError("sequential scan")
+
+    monkeypatch.setattr(tvdp.curves, "_hull_scan", refuse)
+    config = SgdConfig(60_000, 1024, 15.0, mu, C12_GRID)
+    assert config.steps == 879
+    assert sgd_compare(config)["dominance"]["strict"] is True
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
