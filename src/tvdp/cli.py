@@ -22,7 +22,7 @@ from .asymptotics import clt_gap
 from .composition import compose_exact, compose_kairouz, compose_types_approx
 from .curves import PrivacyBudget, TradeoffCurve, curve_from_budget, tv_feasibility_cap
 from .divergences import DiscretePair, DivergenceSpec
-from .dpsgd import SgdConfig, sgd_compare
+from .dpsgd import SgdConfig, sgd_compare, sgd_region
 from .errors import ValidationError
 from .localdp import (
     Channel,
@@ -109,8 +109,16 @@ def _read_json_arg(inline: str | None, path: str | None, what: str) -> dict:
     raise ValueError(f"provide {what} inline or as a file")
 
 
+def _check_csv_grid(args) -> None:
+    """Reject a negative --grid before any curve is built."""
+    if args.out == "csv" and args.grid is not None and args.grid < 0:
+        raise ValidationError("--grid must be >= 0")
+
+
 def _cmd_region(args) -> int:
-    curve = curve_from_budget(_budget_from_args(args))
+    budget = _budget_from_args(args)
+    _check_csv_grid(args)
+    curve = curve_from_budget(budget)
     if args.out == "csv":
         _curve_csv(curve, args.grid)
     else:
@@ -232,13 +240,12 @@ def _cmd_sgd(args) -> int:
         step_mu=args.mu,
         epsilon_grid=grid,
     )
-    report = sgd_compare(config, tol=args.tol)
+    _check_csv_grid(args)
     if args.out == "csv":
-        curve = TradeoffCurve.from_dict(report["curve"])
-        _curve_csv(curve, args.grid)
+        _curve_csv(sgd_region(config, tol=args.tol), args.grid)
     else:
+        report = sgd_compare(config, tol=args.tol)
         if not args.full_curves:
-            report = dict(report)
             report.pop("baseline_curve")
         _emit_json(report)
     return 0

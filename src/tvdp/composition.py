@@ -21,7 +21,6 @@ import numpy as np
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
-    _dp_lines,
     _roc_from_atoms,
     _upper_envelope,
     curve_from_pair,
@@ -102,13 +101,24 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-def _composable_alpha(budget: PrivacyBudget) -> float:
-    """The dominating pair's alpha of a budget that composes."""
+def _composable_alpha(budget: PrivacyBudget, k: int) -> float:
+    """The dominating pair's alpha of a budget that composes k times: the
+    one admission check of the exact and type-class ledgers."""
     if budget.eta < budget.delta:
         raise ValidationError("composition requires eta >= delta")
     if budget.epsilon == 0.0 and budget.eta > budget.delta:
         raise ValidationError("epsilon = 0 composes only with eta = delta")
-    return DominatingSpec.from_budget(budget).alpha
+    alpha = DominatingSpec.from_budget(budget).alpha
+    _check_k_eps(k, budget.epsilon)
+    return alpha
+
+
+def _kairouz_budget(epsilon: float, delta: float, k: int) -> PrivacyBudget:
+    """The (epsilon, delta)-DP budget with no TV information that composes
+    k times: the one admission check of the TV-blind ledgers."""
+    budget = PrivacyBudget.from_dp(epsilon, delta)
+    _check_k_eps(k, epsilon)
+    return budget
 
 
 def _level_log_masses(k: int, eps: float, alpha: float) -> np.ndarray:
@@ -222,7 +232,8 @@ def _grid_columns(k: int, eps, delta, alpha, levels: slice = slice(None)):
     clipped.  The composed eta is delta_0, which is computed even where
     j = 0 is not among the levels.  The level masses come one budget at a
     time; the tail sums, the wrapper and the delta check run on all rows at
-    once.  Callers check k*eps (``_check_k_eps``) first, budget by budget.
+    once.  Callers admit each budget first (``_composable_alpha`` or
+    ``_kairouz_budget``, which check k*eps), budget by budget.
     """
     eps = np.asarray(eps, dtype=float)
     log_w = np.empty((eps.size, 2 * k + 1))
@@ -245,27 +256,18 @@ def _grid_columns(k: int, eps, delta, alpha, levels: slice = slice(None)):
     return np.arange(k + 1)[levels], kept, clamped[:, levels], eta
 
 
-def _ledger_columns(
-    k: int, eps: float, delta: float, alpha: float, levels: slice = slice(None)
-):
-    """``_grid_columns`` of one budget, as 1-D columns and a float eta."""
-    _check_k_eps(k, eps)
-    j, log_keep, clamped, eta = _grid_columns(k, [eps], [delta], [alpha], levels)
-    return j, log_keep[0], clamped[0], eta[0]
-
-
 def _ledger(
     base: PrivacyBudget, k: int, alpha: float, method: str, levels: slice = slice(None)
 ) -> CompositionLedger:
-    """The builder's columns as a ``CompositionLedger`` of ``LedgerEntry``s."""
+    """The builder's one row as a ``CompositionLedger`` of ``LedgerEntry``s."""
     eps = base.epsilon
-    js, log_keep, clamped, eta = _ledger_columns(k, eps, base.delta, alpha, levels)
+    js, log_keep, clamped, eta = _grid_columns(k, [eps], [base.delta], [alpha], levels)
     entries = tuple(
         LedgerEntry(j, j * eps, -math.expm1(raw), clamped=flag, log_one_minus_delta=raw)
-        for j, raw, flag in zip(js.tolist(), log_keep.tolist(), clamped.tolist())
+        for j, raw, flag in zip(js.tolist(), log_keep[0].tolist(), clamped[0].tolist())
     )
     return CompositionLedger(
-        k=k, base=base, entries=entries, composed_eta=eta, method=method
+        k=k, base=base, entries=entries, composed_eta=eta[0], method=method
     )
 
 
@@ -275,7 +277,8 @@ def compose_exact(budget: PrivacyBudget, k: int) -> CompositionLedger:
     j = k always yields the raw (k*eps, wrapper-only) statement, since no
     privacy-loss level lies above k*eps.
     """
-    return _ledger(budget, _check_k(k), _composable_alpha(budget), "exact")
+    k = _check_k(k)
+    return _ledger(budget, k, _composable_alpha(budget, k), "exact")
 
 
 def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
@@ -287,7 +290,7 @@ def compose_kairouz(epsilon: float, delta: float, k: int) -> CompositionLedger:
     j = 0 is listed only for even k.
     """
     k = _check_k(k)
-    base = PrivacyBudget.from_dp(epsilon, delta)
+    base = _kairouz_budget(epsilon, delta, k)
     return _ledger(base, k, 0.0, "kairouz", _kairouz_levels(k))
 
 
@@ -296,26 +299,33 @@ def _kairouz_levels(k: int) -> slice:
     return slice(k % 2, None, 2)
 
 
+def _region(k: int, budgets, alpha, levels: slice = slice(None)):
+    """``intersect`` of the ledger curves of the admitted ``budgets`` (with
+    dominating alphas ``alpha``) at the given levels, as one envelope of the
+    DP lines of all their ledgers from one batch of the builder's columns,
+    and the composed eta of each."""
+    eps = np.array([b.epsilon for b in budgets], dtype=float)
+    j, log_keep, _, eta = _grid_columns(
+        k, eps, [b.delta for b in budgets], alpha, levels
+    )
+    return _lines_to_curve(j * eps[:, None], log_keep), eta
+
+
 def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
     """``intersect`` of ``ledger_to_curve(compose_kairouz(epsilon, delta, k))``
-    over the (epsilon, delta) pairs, as one envelope of the DP lines of all
-    their ledgers, from one batch of the builder's columns.  Each pair is
-    checked in turn, so the first error is the one that composing them one
-    at a time would raise."""
-    for epsilon, delta in zip(epsilons, deltas):
-        PrivacyBudget.from_dp(epsilon, delta)
-        _check_k_eps(k, epsilon)
-    j, log_keep, _, _ = _grid_columns(
-        k, epsilons, deltas, [0.0] * len(epsilons), _kairouz_levels(k)
-    )
-    return _lines_to_curve(j * np.asarray(epsilons)[:, None], log_keep)
+    over the (epsilon, delta) pairs.  Each pair is admitted in turn, so the
+    first error is the one that composing them one at a time would raise."""
+    budgets = [_kairouz_budget(e, d, k) for e, d in zip(epsilons, deltas)]
+    return _region(k, budgets, [0.0] * len(budgets), _kairouz_levels(k))[0]
 
 
 def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """Envelope of the DP lines of every (eps_j, log(1 - delta_j)), in
-    arrays of any one shape; the log form keeps intercepts alive once
-    delta_j rounds to 1."""
-    return _upper_envelope(*_dp_lines(eps_j, log_keep))
+    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and its mirror
+    f = e^-eps_j (1-delta_j-t) of every (eps_j, log(1 - delta_j)), in arrays
+    of any one shape; the log form keeps intercepts alive once delta_j
+    rounds to 1.  The mirrors go over as temporaries, which the envelope
+    frees before its sort."""
+    return _upper_envelope((eps_j, -eps_j), (log_keep, log_keep - eps_j))
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:
@@ -507,21 +517,20 @@ def compose_types_approx(
     """
     k = _check_k(k)
     _check_tol(tol)
-    return _ledger(budget, k, _composable_alpha(budget), "types")
+    return _ledger(budget, k, _composable_alpha(budget, k), "types")
 
 
-def _types_region(budgets, k: int, tol: float) -> tuple[TradeoffCurve, list[float]]:
+def _types_region(
+    budgets, k: int, tol: float
+) -> tuple[TradeoffCurve, list[PrivacyBudget], list[float]]:
     """``intersect`` of ``ledger_to_curve(compose_types_approx(budget, k,
-    tol))`` over ``budgets``, as one envelope of the DP lines of all their
-    ledgers, and the ``composed_eta`` of each, from one batch of the
-    builder's columns.  Each budget is checked as it is drawn, so the first
-    error is the one that composing them one at a time would raise."""
-    eps, delta, alpha = [], [], []
+    tol))`` over ``budgets``, the budgets drawn, and the ``composed_eta`` of
+    each.  Each budget is admitted as it is drawn, so the first error is the
+    one that composing them one at a time would raise."""
+    drawn, alpha = [], []
     for budget in budgets:
         _check_tol(tol)
-        alpha.append(_composable_alpha(budget))
-        _check_k_eps(k, budget.epsilon)
-        eps.append(budget.epsilon)
-        delta.append(budget.delta)
-    j, log_keep, _, eta = _grid_columns(k, eps, delta, alpha)
-    return _lines_to_curve(j * np.array(eps)[:, None], log_keep), eta
+        alpha.append(_composable_alpha(budget, k))
+        drawn.append(budget)
+    region, eta = _region(k, drawn, alpha)
+    return region, drawn, eta

@@ -351,9 +351,10 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
 
     Line i is given by lm = log of its slope's magnitude and lb = log of its
     intercept, so slopes and intercepts of any size are exact.  Each
-    argument is array-like, or a tuple of array parts (as ``_dp_lines``
-    gives them); arrays of any shape are read in row-major order.  The
-    lines are laid end to end here, so that these copies go once sorted.
+    argument is array-like, or a tuple of array parts; arrays of any shape
+    are read in row-major order.  The lines are laid end to end here, so
+    that these copies go once sorted, and parts handed over as temporaries
+    go before the sort.
     Lines are sorted steepest first; a line survives only if it hands over
     to its successor after it takes over from its predecessor.  Each pass
     drops every line that fails this test at once (a line below the
@@ -367,6 +368,7 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     """
     lm = _laid_out(log_slopes)
     lb = _laid_out(log_intercepts)
+    del log_slopes, log_intercepts
     # Steepest first and, within a slope, the highest intercept last.  The
     # lines are sorted flipped, so that equal lines keep the first one given
     # (and a zero slope its sign).
@@ -432,14 +434,6 @@ def _hull_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCu
     return TradeoffCurve._from_log(lt, lf, lm, lb)
 
 
-def _dp_lines(eps, log_keep):
-    """The two DP lines of each (eps, log(1 - delta)), f = (1-delta) - e^eps t
-    and its mirror f = e^-eps (1-delta-t), as the log slopes and the log
-    intercepts that ``_upper_envelope`` takes, each split in two parts:
-    scalars for one budget, arrays for a ledger or a grid of ledgers."""
-    return (eps, -eps), (log_keep, log_keep - eps)
-
-
 def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
     """Boundary of the region cut out by the two DP lines and the TV line.
 
@@ -449,8 +443,8 @@ def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
     """
     log_keep = math.log1p(-budget.delta) if budget.delta < 1.0 else -math.inf
     log_tv = math.log1p(-budget.eta) if budget.eta < 1.0 else -math.inf
-    lm, lb = _dp_lines(budget.epsilon, log_keep)
-    return _upper_envelope([*lm, 0.0], [*lb, log_tv])
+    eps = budget.epsilon
+    return _upper_envelope((eps, -eps, 0.0), (log_keep, log_keep - eps, log_tv))
 
 
 def check_budget(curve: TradeoffCurve, budget: PrivacyBudget) -> bool:

@@ -2,14 +2,15 @@
 
 Each grid epsilon yields a per-step (epsilon, delta(epsilon), eta) budget;
 the budgets compose over the run's step count and the resulting regions
-are intersected.  The grid composes as one batch: one call of the
-composition kernel gives every budget's columns as a row, under the checks
-the public ledgers run.  Intersecting the regions is one envelope of the DP
-lines of all the rows, so no ``CompositionLedger``, ``LedgerEntry`` or
-curve per budget is made along the way.  Each Gaussian profile value is
-computed once and shared by the refined and the baseline grid.  The
-per-step mu is an input: deriving it from noise multiplier and sampling
-rate is out of scope here.
+are intersected.  Each budget is admitted as its public ledger admits it,
+in grid order, and each grid then composes through ``composition._region``:
+one kernel call gives every budget's columns as a row, and the intersection
+is one envelope of the DP lines of all the rows, so no
+``CompositionLedger``, ``LedgerEntry`` or curve per budget is made.  The
+per-epsilon records come from the budgets drawn.  Each Gaussian profile
+value is computed once and shared by the refined and the baseline grid.
+The per-step mu is an input: deriving it from noise multiplier and
+sampling rate is out of scope here.
 """
 
 from __future__ import annotations
@@ -68,13 +69,10 @@ class SgdConfig:
         return int(round(self.epochs * self.dataset_size / self.batch_size))
 
 
-def _step_budget_info(
-    epsilon: float, delta: float, eta: float
-) -> tuple[PrivacyBudget, bool]:
+def _step_budget(epsilon: float, delta: float, eta: float) -> PrivacyBudget:
     """The step budget at one grid epsilon from its profile values
-    delta(epsilon) and the Gaussian TV, and whether eta was clamped."""
-    cap = tv_feasibility_cap(epsilon, delta)
-    return PrivacyBudget(epsilon, delta, min(eta, cap)), eta > cap
+    delta(epsilon) and the Gaussian TV, eta clamped to the feasibility cap."""
+    return PrivacyBudget(epsilon, delta, min(eta, tv_feasibility_cap(epsilon, delta)))
 
 
 def step_budget(step_mu: float, epsilon: float) -> PrivacyBudget:
@@ -89,7 +87,7 @@ def step_budget(step_mu: float, epsilon: float) -> PrivacyBudget:
     if not epsilon > 0.0:
         raise ValidationError("epsilon must be positive")
     delta = gaussian_delta(step_mu, epsilon)
-    return _step_budget_info(epsilon, delta, gaussian_tv(step_mu))[0]
+    return _step_budget(epsilon, delta, gaussian_tv(step_mu))
 
 
 def _grid_deltas(config: SgdConfig) -> list[float]:
@@ -103,23 +101,18 @@ def _refined_region(config: SgdConfig, tol: float, deltas=None):
     if deltas is None:
         deltas = _grid_deltas(config)
     eta = gaussian_tv(config.step_mu)
-    steps = []
-
-    def budgets():  # built as composition draws them, so errors keep grid order
-        for eps, delta in zip(config.epsilon_grid, deltas):
-            steps.append(_step_budget_info(eps, delta, eta))
-            yield steps[-1][0]
-
-    region, composed_tvs = _types_region(budgets(), config.steps, tol)
+    # drawn as composition admits them, so that errors keep grid order
+    steps = (_step_budget(e, d, eta) for e, d in zip(config.epsilon_grid, deltas))
+    region, budgets, composed_tvs = _types_region(steps, config.steps, tol)
     records = [
         {
             "epsilon": budget.epsilon,
             "delta": budget.delta,
             "eta": budget.eta,
-            "eta_clamped": clamped,
+            "eta_clamped": budget.eta < eta,  # the budget's eta is min(eta, cap)
             "composed_tv": composed_tv,
         }
-        for (budget, clamped), composed_tv in zip(steps, composed_tvs)
+        for budget, composed_tv in zip(budgets, composed_tvs)
     ]
     return region, records
 

@@ -70,24 +70,17 @@ class Channel:
 def ldp_epsilon(channel: Channel) -> float:
     """Smallest epsilon such that the channel is epsilon-locally private.
 
-    Per-output ratios suffice on finite alphabets; an output reachable from
-    one input but not another makes the bound infinite.
+    Per-output ratios suffice on finite alphabets: epsilon is the largest
+    over outputs of max log m - min log m down the column, which monotone
+    rounding keeps equal to the largest pairwise log-ratio.  An output
+    reachable from one input but not another makes the bound infinite.
     """
-    m = channel.matrix
-    worst = 0.0
-    for x in range(m.shape[0]):
-        for xp in range(m.shape[0]):
-            if x == xp:
-                continue
-            num, den = m[x], m[xp]
-            if np.any((num > 0.0) & (den <= 0.0)):
-                return math.inf
-            mask = num > 0.0
-            if np.any(mask):
-                worst = max(
-                    worst, float(np.max(np.log(num[mask]) - np.log(den[mask])))
-                )
-    return worst
+    reached = channel.matrix > 0.0
+    everywhere = reached.all(axis=0)
+    if np.any(reached.any(axis=0) & ~everywhere):
+        return math.inf
+    log_m = np.log(channel.matrix[:, everywhere])
+    return float(np.max(log_m.max(axis=0) - log_m.min(axis=0), initial=0.0))
 
 
 def dobrushin(channel: Channel) -> float:

@@ -211,3 +211,22 @@ def composed_levels_mp(epsilon: float, alpha: float, k: int, dps: int = 40):
             deltas.append(above[j + 1] - tilt)
             keeps.append(at_most + tilt)
         return deltas, keeps
+
+
+def ldp_epsilon_pairwise(matrix) -> float:
+    """Local-privacy epsilon of a channel matrix from every ordered pair of
+    rows: the largest log-ratio over the outputs both reach, or inf where
+    one row reaches an output the other does not."""
+    m = np.asarray(matrix, dtype=float)
+    worst = 0.0
+    for x in range(m.shape[0]):
+        for xp in range(m.shape[0]):
+            if x == xp:
+                continue
+            num, den = m[x], m[xp]
+            if np.any((num > 0.0) & (den <= 0.0)):
+                return math.inf
+            mask = num > 0.0
+            if np.any(mask):
+                worst = max(worst, float(np.max(np.log(num[mask]) - np.log(den[mask]))))
+    return worst

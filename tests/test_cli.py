@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tvdp.dpsgd
 from tvdp import (
     PrivacyBudget,
     SgdConfig,
@@ -268,6 +269,17 @@ EDGE_ARGV = [
          "--eps-from", "1e308", "--eps-to", "1e308", "--eps-step", "1"],
         "epsilon = 1e+308",
     ),
+    (["region", "--eps", "1", "--eta", "0.3", "--out", "csv", "--grid", "-5"], "--grid"),
+    (
+        ["sgd", "--n", "1000", "--batch", "100", "--epochs", "2", "--mu", "0.5",
+         "--eps-from", "0.5", "--eps-to", "1.5", "--eps-step", "0.5", "--out", "csv", "--grid", "-3"],
+        "--grid",
+    ),
+    (
+        ["sgd", "--out", "csv", "--n", "100", "--batch", "10", "--epochs", "1", "--mu", "0.5",
+         "--eps-from", "1e308", "--eps-to", "1e308", "--eps-step", "1"],
+        "epsilon = 1e+308",
+    ),
 ]
 
 
@@ -410,6 +422,13 @@ README_EXAMPLES = [
                  "--eps-from", "0.5", "--eps-to", "3.4", "--eps-step", "0.1", "--out", "csv"],
      "3d00ae49b807e5982471125c9899122185bad506568af6c99c340d2b04808485"),
 ]
+# The README sgd run as JSON, plain and with the baseline curve, with the
+# sha256 of its stdout.
+SGD_JSON_EXAMPLES = [
+    ("plain", [], "a16b04e79dabb2e8bca1ca8b7dd85a0bc949e3fbded5731ad05afedcbffe3fd9"),
+    ("full-curves", ["--full-curves"],
+     "b1473a6368170997042fe06a63b389f8844e67a476eee6cc4e9a7c2e2e633075"),
+]
 # The examples that need a special function (Phi for the Gaussian profile,
 # Phi and its inverse for G_mu) and so load scipy.special.
 SCIPY_EXAMPLES = {"clt", "mech-tv-gaussian", "sgd-csv"}
@@ -419,6 +438,29 @@ SCIPY_EXAMPLES = {"clt", "mech-tv-gaussian", "sgd-csv"}
     "argv, digest", [e[1:] for e in README_EXAMPLES], ids=[e[0] for e in README_EXAMPLES]
 )
 def test_readme_example_stdout_is_byte_stable(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra, digest", [e[1:] for e in SGD_JSON_EXAMPLES], ids=[e[0] for e in SGD_JSON_EXAMPLES]
+)
+def test_sgd_json_stdout_is_byte_stable(capsys, extra, digest):
+    argv = dict((name, argv) for name, argv, _ in README_EXAMPLES)["sgd-csv"][:-2]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sgd_csv_composes_no_baseline(capsys, monkeypatch):
+    # the CSV prints the refined region alone
+    def refuse(*args):
+        raise AssertionError("baseline composed")
+
+    monkeypatch.setattr(tvdp.dpsgd, "_kairouz_region", refuse)
+    name, argv, digest = README_EXAMPLES[-1]
+    assert name == "sgd-csv"
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -33,7 +33,7 @@ from tvdp import (
     tv_feasibility_cap,
     tv_of_curve,
 )
-from tvdp.composition import _conv_power, _ledger_columns
+from tvdp.composition import _conv_power, _grid_columns
 
 
 E = math.e
@@ -322,8 +322,8 @@ class TestPrecisionAgainstMpmath:
     def test_relative_error(self, budget, k):
         if isinstance(budget, DominatingSpec):
             alpha = budget.alpha
-            _, log_keep, _, _ = _ledger_columns(k, budget.epsilon, budget.delta, alpha)
-            rows = [(-math.expm1(raw), raw) for raw in log_keep.tolist()]
+            _, log_keep, _, _ = _grid_columns(k, [budget.epsilon], [budget.delta], [alpha])
+            rows = [(-math.expm1(raw), raw) for raw in log_keep[0].tolist()]
         else:
             alpha = DominatingSpec.from_budget(budget).alpha
             assert (alpha == 0.0) == (budget.eta == budget.tv_cap)

@@ -397,9 +397,10 @@ def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz, 
         alpha, levels = 0.0, composition._kairouz_levels(k)
     else:
         budget = PrivacyBudget(eps, delta, delta + frac * (tv_feasibility_cap(eps, delta) - delta))
-        alpha, levels = composition._composable_alpha(budget), slice(None)
-    j, log_keep, _, _ = composition._ledger_columns(k, eps, delta, alpha, levels)
-    lm, lb = map(np.concatenate, curves._dp_lines(j * eps, log_keep))
+        alpha, levels = composition._composable_alpha(budget, k), slice(None)
+    j, log_keep, _, _ = composition._grid_columns(k, [eps], [delta], [alpha], levels)
+    eps_j = j * eps
+    lm, lb = np.concatenate((eps_j, -eps_j)), np.concatenate((log_keep[0], log_keep[0] - eps_j))
     _assert_envelope_matches_reference(lm, lb, max_passes)
 
 
@@ -444,20 +445,20 @@ def test_grid_rows_equal_single_builds_bit_for_bit(budgets, k, kairouz):
     else:
         alpha = [
             composition._composable_alpha(
-                PrivacyBudget(e, d, d + frac * (tv_feasibility_cap(e, d) - d))
+                PrivacyBudget(e, d, d + frac * (tv_feasibility_cap(e, d) - d)), k
             )
             for e, d, frac in budgets
         ]
         levels = slice(None)
     j, log_keep, clamped, eta = composition._grid_columns(k, eps, delta, alpha, levels)
     for row in range(len(eps)):
-        j1, keep1, clamped1, eta1 = composition._ledger_columns(
-            k, eps[row], delta[row], alpha[row], levels
+        j1, keep1, clamped1, eta1 = composition._grid_columns(
+            k, [eps[row]], [delta[row]], [alpha[row]], levels
         )
         assert j.tobytes() == j1.tobytes()
-        assert log_keep[row].tobytes() == keep1.tobytes()
-        assert clamped[row].tobytes() == clamped1.tobytes()
-        assert eta[row].hex() == eta1.hex()
+        assert log_keep[row].tobytes() == keep1[0].tobytes()
+        assert clamped[row].tobytes() == clamped1[0].tobytes()
+        assert eta[row].hex() == eta1[0].hex()
 
 
 # A grid's region is one envelope of all its ledgers' lines, which must be
@@ -517,10 +518,10 @@ def test_pass_loop_computes_every_crossing_once(monkeypatch):
     monkeypatch.setattr(curves, "_crossings", counted_crossings)
     monkeypatch.setattr(curves, "_hands_over_first", counted_pass)
     b = PrivacyBudget(0.7, 1e-6, 0.25)
-    j, log_keep, _, _ = composition._ledger_columns(
-        2000, b.epsilon, b.delta, composition._composable_alpha(b)
+    j, log_keep, _, _ = composition._grid_columns(
+        2000, [b.epsilon], [b.delta], [composition._composable_alpha(b, 2000)]
     )
-    composition._lines_to_curve(j * b.epsilon, log_keep)
+    composition._lines_to_curve(j * b.epsilon, log_keep[0])
     # several passes drop lines, and none goes back to the full crossing list
     assert calls["passes"] >= 3
     assert calls["crossings"] == 1

@@ -302,6 +302,38 @@ def test_later_grid_epsilon_overflowing_k_eps_is_named(run, grid):
         run(config)
 
 
+K_EPS = (ValidationError, r"epsilon = 1e\+308 is too large for k = 10: k\*epsilon overflows")
+TOL = (ValueError, r"tol must be positive")
+
+
+@pytest.mark.parametrize(
+    "grid, tol, errors",
+    [
+        # each budget is drawn before tol is checked, so an infinite first
+        # epsilon is named at any tol
+        ((math.inf,), 1e-6, [(ValidationError, r"epsilon must be >= 0 and finite")] * 3),
+        ((math.inf,), 0.0, [(ValidationError, r"epsilon must be >= 0 and finite")] * 3),
+        ((1.0, 1e308), 1e-6, [K_EPS] * 3),
+        ((1.0, 1e308), 0.0, [TOL, TOL, K_EPS]),
+        ((0.5, 1e308, math.inf), 1e-6, [K_EPS] * 3),
+        ((0.5, 1e308, math.inf), 0.0, [TOL, TOL, K_EPS]),
+    ],
+)
+def test_grid_errors_at_each_tol_keep_grid_order(grid, tol, errors):
+    # the baseline takes no tol, so it names the epsilon where the refined
+    # grid names tol first
+    config = SgdConfig(100, 10, 1.0, 0.5, grid)
+    runs = [
+        lambda: sgd_compare(config, tol=tol),
+        lambda: sgd_region(config, tol=tol),
+        lambda: sgd_region_baseline(config),
+    ]
+    for run, (error, message) in zip(runs, errors):
+        with pytest.raises(ValueError, match=message) as raised:
+            run()
+        assert type(raised.value) is error
+
+
 @pytest.mark.parametrize("mu", [0.6, 0.75, 0.9])
 def test_grid_envelopes_never_fall_back_to_the_scan(monkeypatch, mu):
     # at the C12 shape with batch 1024 the refined region is one envelope

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import random_pair
+from oracles import ldp_epsilon_pairwise, random_pair
 from tvdp import (
     Channel,
     DiscretePair,
@@ -72,6 +74,25 @@ class TestLdpEpsilon:
     def test_infinite_when_support_differs(self):
         ch = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert ldp_epsilon(ch) == math.inf
+
+
+# Non-positive entries of both kinds (0 and the -1e-16 the channel check
+# tolerates) decide which outputs each input reaches.
+_CHANNEL_ENTRY = st.one_of(st.sampled_from([0.0, -1e-16]), st.floats(1e-300, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), inputs=st.integers(2, 6), outputs=st.integers(1, 6))
+def test_ldp_epsilon_equals_pairwise_reference_bit_for_bit(data, inputs, outputs):
+    rows = st.lists(_CHANNEL_ENTRY, min_size=outputs, max_size=outputs)
+    m = np.array(data.draw(st.lists(rows, min_size=inputs, max_size=inputs)))
+    positive = np.where(m > 0.0, m, 0.0)
+    assume(np.all(positive.sum(axis=1) > 0.0))
+    if data.draw(st.booleans()):  # repeated rows, so that some ratios are 1
+        m[1:] = m[data.draw(st.integers(0, inputs - 1))]
+        positive = np.where(m > 0.0, m, 0.0)
+    ch = Channel(np.where(m > 0.0, m / positive.sum(axis=1, keepdims=True), m))
+    assert repr(ldp_epsilon(ch)) == repr(ldp_epsilon_pairwise(ch.matrix))
 
 
 class TestDobrushin:
