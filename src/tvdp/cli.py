@@ -48,8 +48,23 @@ from .mechanisms import (
 DEFAULT_MAX_EPS = 50.0
 
 
-def _max_eps() -> float:
-    return float(os.environ.get("TVDP_MAX_EPS", DEFAULT_MAX_EPS))
+def _eps_from_args(args) -> float:
+    """--eps, or else the TVDP_MAX_EPS cap (default 50), which must be a
+    finite number >= 0."""
+    if args.eps is not None:
+        return args.eps
+    raw = os.environ.get("TVDP_MAX_EPS")
+    if raw is None:
+        return DEFAULT_MAX_EPS
+    try:
+        cap = float(raw)
+    except ValueError:
+        cap = math.nan
+    if not (cap >= 0.0 and math.isfinite(cap)):
+        raise ValidationError(
+            f"TVDP_MAX_EPS must be a finite number >= 0, got {raw!r}"
+        )
+    return cap
 
 
 def _round12(value: float):
@@ -94,7 +109,7 @@ def _curve_csv(curve: TradeoffCurve, grid: int | None) -> None:
 
 
 def _budget_from_args(args) -> PrivacyBudget:
-    eps = args.eps if args.eps is not None else _max_eps()
+    eps = _eps_from_args(args)
     delta = args.delta
     eta = args.eta if args.eta is not None else tv_feasibility_cap(eps, delta)
     return PrivacyBudget(eps, delta, eta)
@@ -128,9 +143,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_compose(args) -> int:
     if args.baseline == "kairouz":
-        ledger = compose_kairouz(
-            args.eps if args.eps is not None else _max_eps(), args.delta, args.k
-        )
+        ledger = compose_kairouz(_eps_from_args(args), args.delta, args.k)
     else:
         budget = _budget_from_args(args)
         if args.mode == "types":

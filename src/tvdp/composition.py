@@ -180,18 +180,20 @@ def _scaled_ratio_logs(k: int, eps: float, alpha: float) -> np.ndarray:
     return np.cumsum(np.log([1.0] + ratios), dtype=ld) + log_scale
 
 
-def _log_tail_sums(
-    log_w: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log delta_j, log(1 - delta_j)) for j = 0..k from the level masses,
-    one row per row of ``log_w`` and entry of ``eps``.
+def _log_tail_sums(log_w: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """log(1 - delta_j) for j = 0..k from the level masses, one row per row
+    of ``log_w`` and entry of ``eps``.
 
     With T_i = sum_{m >= i} W(m) e^{(i-m) eps},
         delta_j     = (1 - e^-eps) sum_{i > j} T_i,
         1 - delta_j = sum_{m <= j} W(m) + e^-eps T_{j+1},
     both sums of positive terms, so each keeps its relative precision where
-    the other is within rounding of 1.  Only T_i for i > 0 are read, so
-    only the levels m > 0 are summed.
+    the other is within rounding of 1.  log(1 - delta_j) comes from the
+    delta_j sum while delta_j < 1/2 and from its own sum where delta_j >= 1/2
+    (or is NaN).  The second sum is read only in the leading columns up to
+    the last one in which some row has such a delta_j, so it runs only
+    there.  Only T_i for i > 0 are read, so only the levels m > 0 are
+    summed.
     """
     k = (log_w.shape[1] - 1) // 2
     eps = eps[:, None]
@@ -205,8 +207,19 @@ def _log_tail_sums(
     with np.errstate(divide="ignore"):  # eps = 0: log(1 - e^0) = -inf
         log_gap = np.log(-np.expm1(-eps))
     log_delta = log_gap + np.logaddexp.accumulate(above[:, ::-1], axis=1)[:, ::-1]
-    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w, axis=1)[:, k:], above - eps)
-    return log_delta, log_keep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_keep = np.log1p(-np.exp(log_delta))
+    wide = ~(log_delta < -math.log(2.0))
+    del log_delta
+    read = np.flatnonzero(wide.any(axis=0))
+    if read.size:
+        n = int(read[-1]) + 1
+        own = np.logaddexp(
+            np.logaddexp.accumulate(log_w[:, : k + n], axis=1)[:, k:],
+            above[:, :n] - eps,
+        )
+        np.copyto(log_keep[:, :n], own, where=wide[:, :n])
+    return log_keep
 
 
 def _check_k_eps(k: int, eps: float) -> None:
@@ -226,26 +239,21 @@ def _grid_columns(k: int, eps, delta, alpha, levels: slice = slice(None)):
     and curve, under the ledger's delta invariant.
 
     Row i of the 2-D columns is budget i's ledger.  log(1 - delta_j) comes
-    from the delta_j sum while delta_j < 1/2 and from its own sum beyond
-    that; the 1 - (1-delta)^k (1-delta_j) wrapper then gives the composed
-    value.  clamped_j flags a log(1 - delta_j) that rounded above 0 and was
-    clipped.  The composed eta is delta_0, which is computed even where
-    j = 0 is not among the levels.  The level masses come one budget at a
-    time; the tail sums, the wrapper and the delta check run on all rows at
-    once.  Callers admit each budget first (``_composable_alpha`` or
+    from ``_log_tail_sums``, each entry from whichever of its two sums keeps
+    it precise; the 1 - (1-delta)^k (1-delta_j) wrapper then gives the
+    composed value.  clamped_j flags a log(1 - delta_j) that rounded above
+    0 and was clipped.  The composed eta is delta_0, which is computed even
+    where j = 0 is not among the levels.  The level masses come one budget
+    at a time; the tail sums, the wrapper and the delta check run on all
+    rows at once.  Callers admit each budget first (``_composable_alpha`` or
     ``_kairouz_budget``, which check k*eps), budget by budget.
     """
     eps = np.asarray(eps, dtype=float)
     log_w = np.empty((eps.size, 2 * k + 1))
     for row, e, a in zip(log_w, eps.tolist(), alpha):
         row[:] = _level_log_masses(k, e, a)
-    log_delta, log_keep = _log_tail_sums(log_w, eps)
+    inner = _log_tail_sums(log_w, eps)
     del log_w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(
-            log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
-        )
-    del log_delta, log_keep
     log_wrap = [[k * math.log1p(-d) if d < 1.0 else -math.inf] for d in delta]
     clamped = inner > 0.0
     inner[clamped] = 0.0
@@ -323,9 +331,13 @@ def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
     """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and its mirror
     f = e^-eps_j (1-delta_j-t) of every (eps_j, log(1 - delta_j)), in arrays
     of any one shape; the log form keeps intercepts alive once delta_j
-    rounds to 1.  The mirrors go over as temporaries, which the envelope
-    frees before its sort."""
-    return _upper_envelope((eps_j, -eps_j), (log_keep, log_keep - eps_j))
+    rounds to 1.  A line with eps_j = 0 is its own mirror, so only the
+    steeper lines are mirrored; a ledger's lines then share no slope.  The
+    mirrors go over as temporaries, which the envelope frees before its
+    sort."""
+    return _upper_envelope(
+        (eps_j, -eps_j[eps_j > 0.0]), (log_keep, (log_keep - eps_j)[eps_j > 0.0])
+    )
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:

@@ -355,35 +355,28 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     are read in row-major order.  The lines are laid end to end here, so
     that these copies go once sorted, and parts handed over as temporaries
     go before the sort.
-    Lines are sorted steepest first; a line survives only if it hands over
-    to its successor after it takes over from its predecessor.  Each pass
-    drops every line that fails this test at once (a line below the
-    maximum of its two neighbours is below the envelope of the rest), until
-    none does.  The crossings are computed once; a pass recomputes only
-    those of the pairs its drops made adjacent.  Chains of lines that each
-    surface only once a neighbour goes could need a pass per line, so past
-    _MAX_PASSES a sequential scan finishes.
+    Lines are sorted by slope alone, steepest first, and only the highest
+    line of each slope goes on (of equal lines, the first one given).  A
+    line survives only if it hands over to its successor after it takes
+    over from its predecessor.  Each pass drops every line that fails this
+    test at once (a line below the maximum of its two neighbours is below
+    the envelope of the rest), until none does.  The crossings are computed
+    once; a pass recomputes only those of the pairs its drops made
+    adjacent.  Chains of lines that each surface only once a neighbour goes
+    could need a pass per line, so past _MAX_PASSES a sequential scan
+    finishes.
     Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).
     """
     lm = _laid_out(log_slopes)
     lb = _laid_out(log_intercepts)
     del log_slopes, log_intercepts
-    # Steepest first and, within a slope, the highest intercept last.  The
-    # lines are sorted flipped, so that equal lines keep the first one given
-    # (and a zero slope its sign).
-    order = np.lexsort((lb[::-1], -lm[::-1]))
-    lm = lm[::-1][order]
-    lb = lb[::-1][order]
+    # steepest first, and lines of equal slope in the order given
+    order = np.argsort(-lm, kind="stable")
+    lm = lm[order]
+    lb = lb[order]
     del order
-    # One line per slope (the highest), and only lines that start above
-    # every flatter line: a steeper line that starts no higher never leads.
-    keep = np.ones(lm.size, dtype=bool)
-    keep[:-1] = lm[:-1] != lm[1:]
-    flatter_best = np.maximum.accumulate(lb[::-1])[::-1]
-    keep[:-1] &= lb[:-1] > flatter_best[1:]
-    del flatter_best
-    lm, lb = lm[keep], lb[keep]
+    lm, lb = _candidate_lines(lm, lb)
 
     cross = _crossings(lm, lb)
     for _ in range(_MAX_PASSES):
@@ -401,6 +394,39 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
         lm, lb = _hull_scan(lm, lb)
         cross = _crossings(lm, lb)
     return _hull_curve(lm, lb, cross)
+
+
+def _candidate_lines(lm: np.ndarray, lb: np.ndarray):
+    """The lines that can lead, from lines sorted steepest first and, within
+    a slope, in the order given: the highest line of each slope (of equal
+    lines, the first), and of those only the ones that start above every
+    flatter line (a steeper line that starts no higher never leads).
+
+    Equal doubles differ in their bits only as +0 and -0, and the kept
+    lines start strictly lower as they get flatter, so at most two kept
+    slopes, the one whose slope is zero and the one whose top intercept is
+    zero, look for their first line at the top.
+    """
+    new_slope = np.empty(lm.size, dtype=bool)
+    new_slope[0] = True
+    np.not_equal(lm[1:], lm[:-1], out=new_slope[1:])
+    tied = not new_slope.all()
+    if tied:
+        starts = np.flatnonzero(new_slope)
+        slope, top = lm[starts], np.maximum.reduceat(lb, starts)
+    else:
+        slope, top = lm, lb
+    keep = np.ones(top.size, dtype=bool)
+    flatter_best = np.maximum.accumulate(top[::-1])[::-1]
+    keep[:-1] = top[:-1] > flatter_best[1:]
+    del flatter_best
+    if tied:
+        for run in np.flatnonzero(keep & ((slope == 0.0) | (top == 0.0))).tolist():
+            start = starts[run]
+            end = starts[run + 1] if run + 1 < starts.size else lm.size
+            first = start + int(np.argmax(lb[start:end] == top[run]))
+            slope[run], top[run] = lm[first], lb[first]
+    return slope[keep], top[keep]
 
 
 def _laid_out(lines) -> np.ndarray:

@@ -75,6 +75,26 @@ class TestRegion:
         assert payload["vertices"][0] == [0.0, 1.0]
         assert payload["vertices"][1][0] < 1e-10
 
+    @pytest.mark.parametrize("cap", ["abc", "nan", "inf", "-1", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--eta", "0.3"],
+            ["compose", "--baseline", "kairouz", "-k", "3"],
+            ["amplify", "--eta", "0.3", "-p", "0.5"],
+        ],
+    )
+    def test_bad_eps_cap_exit_2_naming_the_variable(self, capsys, monkeypatch, argv, cap):
+        monkeypatch.setenv("TVDP_MAX_EPS", cap)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: TVDP_MAX_EPS must be a finite number >= 0, got {cap!r}\n"
+        # an explicit --eps ignores the variable
+        code, out, err = run(capsys, *argv, "--eps", "1")
+        monkeypatch.delenv("TVDP_MAX_EPS")
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--eps", "1") == (0, out, "")
+
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run(capsys, "region", "--nope", "1")
         assert code == 2

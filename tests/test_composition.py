@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     composed_levels_mp,
@@ -33,6 +35,7 @@ from tvdp import (
     tv_feasibility_cap,
     tv_of_curve,
 )
+from tvdp import composition
 from tvdp.composition import _conv_power, _grid_columns
 
 
@@ -411,3 +414,69 @@ def test_curve_tv_matches_mpmath_delta0(eps, k):
     deltas, _ = composed_levels_mp(eps, 0.0, k)
     got = ledger_to_curve(compose_kairouz(eps, 0.0, k)).tv()
     assert abs(got - deltas[0]) <= 1e-14 * deltas[0]
+
+
+# _log_tail_sums runs the sum of 1 - delta_j only over the leading columns
+# where some row reads it.  The function below is a regression reference: a
+# copy of the earlier builder, which ran both sums over every column and
+# picked one per entry.
+
+
+def _reference_grid_columns(k, eps, delta, alpha, levels=slice(None)):
+    eps = np.asarray(eps, dtype=float)
+    log_w = np.array([composition._level_log_masses(k, e, a) for e, a in zip(eps, alpha)])
+    col = eps[:, None]
+    tilt = np.arange(1, k + 1) * col
+    above = np.full((eps.size, k + 1), -np.inf)
+    tail = (log_w[:, k + 1 :] - tilt)[:, ::-1]
+    above[:, :k] = np.logaddexp.accumulate(tail, axis=1)[:, ::-1]
+    above[:, :k] += tilt
+    with np.errstate(divide="ignore"):
+        log_gap = np.log(-np.expm1(-col))
+    log_delta = log_gap + np.logaddexp.accumulate(above[:, ::-1], axis=1)[:, ::-1]
+    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w, axis=1)[:, k:], above - col)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(
+            log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
+        )
+    log_wrap = [[k * math.log1p(-d) if d < 1.0 else -math.inf] for d in delta]
+    clamped = inner > 0.0
+    inner[clamped] = 0.0
+    log_keep = np.add(log_wrap, inner, out=inner)
+    eta = [-math.expm1(x) for x in log_keep[:, 0].tolist()]
+    return np.arange(k + 1)[levels], log_keep[:, levels], clamped[:, levels], eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            # small eps * k puts delta_j = 1/2 at a different j in each row
+            st.one_of(st.floats(1e-9, 4.0), st.sampled_from([1e-9, 1e-4, 0.01, 0.5])),
+            st.sampled_from([0.0, 1e-12, 1e-3, 0.3, 1.0]),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    k=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+    kairouz=st.booleans(),
+)
+def test_grid_columns_match_full_width_tail_sums(rows, k, kairouz):
+    eps = [e for e, _, _ in rows]
+    delta = [d for _, d, _ in rows]
+    if kairouz:
+        alpha, levels = [0.0] * len(rows), composition._kairouz_levels(k)
+    else:
+        alpha = [
+            composition._composable_alpha(
+                PrivacyBudget(e, d, d + frac * (tv_feasibility_cap(e, d) - d)), k
+            )
+            for e, d, frac in rows
+        ]
+        levels = slice(None)
+    got = _grid_columns(k, eps, delta, alpha, levels)
+    want = _reference_grid_columns(k, eps, delta, alpha, levels)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert [x.hex() for x in got[3]] == [x.hex() for x in want[3]]

@@ -418,6 +418,57 @@ def test_random_line_envelope_is_unchanged_bit_for_bit(seed, n, spread, max_pass
     _assert_envelope_matches_reference(lm, lb, max_passes)
 
 
+# The envelope sorts by slope alone and keeps the highest line of each slope.
+# Grid regions share slopes across rows (j*eps equal for different eps), so
+# runs of equal slopes, equal intercepts and signed zeros are the common case
+# there, which random lines almost never draw.
+
+_TIED_EPS = [round(0.5 + 0.1 * i, 12) for i in range(30)] + [0.25, 0.75, 1.25]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    eps=st.lists(st.sampled_from(_TIED_EPS), min_size=1, max_size=15),
+    copies=st.integers(1, 2),
+    first_j=st.integers(0, 1),
+    k=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    max_passes=st.sampled_from([0, 1, 2, 32]),
+)
+def test_envelope_with_many_slope_ties_is_unchanged_bit_for_bit(
+    eps, copies, first_j, k, seed, max_passes
+):
+    rng = np.random.default_rng(seed)
+    # starting at j = 1 leaves out the zero slope: one of its lines with
+    # intercept 1 keeps every steeper such line out of the envelope, ties
+    # and all; repeated rows tie at every slope
+    eps_j = np.arange(first_j, k + 1) * np.array(eps * copies)[:, None]
+    # half the intercepts from a few shared values, mostly the two zeros
+    # (delta_j = 0), and -inf (delta_j = 1) among them
+    shared = rng.choice([0.0, -0.0, 0.0, -0.0, -1e-12, -0.7, -np.inf], eps_j.shape)
+    log_keep = np.where(
+        rng.random(eps_j.shape) < 0.5, shared, -rng.exponential(2.0, eps_j.shape)
+    )
+    lm = np.concatenate((eps_j, -eps_j), axis=None)
+    lb = np.concatenate((log_keep, log_keep - eps_j), axis=None)
+    _assert_envelope_matches_reference(lm, lb, max_passes)
+
+
+def test_envelope_builds_sort_by_slope_alone(monkeypatch):
+    # _reference_envelope above keeps lexsort as the independent reference
+    def refuse(*args, **kwargs):
+        raise AssertionError("lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    config = tvdp.SgdConfig(6000, 100, 1.0, 0.8, (0.5, 1.0, 1.5))
+    assert tvdp.sgd_compare(config)["dominance"]["strict"] is True
+    ledgers = [
+        tvdp.compose_exact(PrivacyBudget(e, 1e-6, 0.2), 200) for e in (0.5, 1.0)
+    ]
+    ledger_curves = [tvdp.ledger_to_curve(led) for led in ledgers]
+    intersect(ledger_curves + [curve_from_budget(PrivacyBudget(1.0, 0.0, 0.3))])
+
+
 # Grid builds run the kernel on all budgets at once; every row must be
 # exactly what one budget on its own gives.
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -346,6 +347,23 @@ def test_grid_envelopes_never_fall_back_to_the_scan(monkeypatch, mu):
     config = SgdConfig(60_000, 1024, 15.0, mu, C12_GRID)
     assert config.steps == 879
     assert sgd_compare(config)["dominance"]["strict"] is True
+
+
+# sha256 of the full report: the README examples pin 12 digits, these pin
+# every bit of the curves, deltas and records at the C12 run shape
+@pytest.mark.parametrize(
+    "batch, mu, digest",
+    [
+        (1024, 0.6, "262ff4cdfa2d58e84ba71e22acd5f017455b26b734fa874d5d1f9d474a49df14"),
+        (1024, 0.75, "abe78c895cfbef2526b1cbc9cdbb7bbab353e60067239f1f85ebf24561620279"),
+        (1024, 0.871942, "3ff76c72119d89c766b8f300aaf030ec96acfad0f712225ea3a75af5f40ccc93"),
+        (256, 0.7692307692, "10d92f2ea88b11f041a646f613de536d49f358ad8052aef7971874bcf204442c"),
+    ],
+)
+def test_sgd_compare_report_is_pinned_bit_for_bit(batch, mu, digest):
+    config = SgdConfig(60_000, batch, 15.0, mu, C12_GRID)
+    assert config.steps == {1024: 879, 256: 3516}[batch]
+    assert hashlib.sha256(repr(sgd_compare(config)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
