@@ -214,9 +214,9 @@ def _cmd_ldp(args) -> int:
         return 0
     if args.ldp_command == "bemech":
         payload = _read_json_arg(args.pair, args.pair_file, "a pair")
-        if not isinstance(payload, dict):
+        if not (isinstance(payload, dict) and {"p0", "p1"} <= payload.keys()):
             raise ValidationError('pair must be a JSON object with "p0" and "p1" keys')
-        pair = DiscretePair(np.asarray(payload["p0"]), np.asarray(payload["p1"]))
+        pair = DiscretePair(payload["p0"], payload["p1"])
         _emit_json(binary_erasure_mechanism(pair, args.eps, args.eta).as_dict())
         return 0
     _emit_json(

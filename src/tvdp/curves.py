@@ -43,10 +43,6 @@ _LOG_VIEW_FLOOR = math.log(_VIEW_FLOOR)
 # narrower than this (for instance a TV line tangent at a DP kink) is dropped.
 _SAME_LOG_T = 1e-15
 
-# Vectorised pruning passes of the envelope before a sequential scan
-# finishes the job (see _upper_envelope).
-_MAX_PASSES = 32
-
 
 # Largest epsilon whose e^epsilon (and e^epsilon - 1) is a finite double.
 _MAX_EXP_EPSILON = math.log(float(np.finfo(float).max))
@@ -328,24 +324,6 @@ def _hands_over_first(takes_over, hands_over):
     return takes_over >= hands_over - _SAME_LOG_T * (1.0 + np.abs(hands_over))
 
 
-def _hull_scan(lm: np.ndarray, lb: np.ndarray):
-    """The lines of the envelope by one sequential stack scan, O(n)."""
-    stack: list[int] = []
-    cross: list[float] = []  # cross[i]: where stack line i hands over to i + 1
-    for i in range(lm.size):
-        while stack:
-            pair = [stack[-1], i]
-            at = float(_crossings(lm[pair], lb[pair])[0])
-            if cross and _hands_over_first(cross[-1], at):
-                stack.pop()
-                cross.pop()
-            else:
-                cross.append(at)
-                break
-        stack.append(i)
-    return lm[stack], lb[stack]
-
-
 def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0.
 
@@ -360,11 +338,9 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     line survives only if it hands over to its successor after it takes
     over from its predecessor.  Each pass drops every line that fails this
     test at once (a line below the maximum of its two neighbours is below
-    the envelope of the rest), until none does.  The crossings are computed
-    once; a pass recomputes only those of the pairs its drops made
-    adjacent.  Chains of lines that each surface only once a neighbour goes
-    could need a pass per line, so past _MAX_PASSES a sequential scan
-    finishes.
+    the envelope of the rest), until none does; a pass that finds such a
+    line drops it, so the passes end.  The crossings are computed once; a
+    pass recomputes only those of the pairs its drops made adjacent.
     Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).
     """
@@ -379,10 +355,8 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     lm, lb = _candidate_lines(lm, lb)
 
     cross = _crossings(lm, lb)
-    for _ in range(_MAX_PASSES):
-        hidden = _hands_over_first(cross[:-1], cross[1:])
-        if not hidden.any():
-            break
+    hidden = _hands_over_first(cross[:-1], cross[1:])
+    while hidden.any():
         keep = np.ones(lm.size, dtype=bool)
         keep[1:-1] = ~hidden
         lm = lm[keep]
@@ -390,9 +364,7 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
         cross = cross[keep[:-1]]
         fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
         cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
-    else:
-        lm, lb = _hull_scan(lm, lb)
-        cross = _crossings(lm, lb)
+        hidden = _hands_over_first(cross[:-1], cross[1:])
     return _hull_curve(lm, lb, cross)
 
 

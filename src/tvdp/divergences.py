@@ -18,6 +18,14 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; anything else is an error naming them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+
+
 @dataclass(frozen=True)
 class DiscretePair:
     """Two pmfs over one finite alphabet: the output laws of a mechanism
@@ -27,8 +35,8 @@ class DiscretePair:
     p1: np.ndarray
 
     def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=float)
-        p1 = np.asarray(self.p1, dtype=float)
+        p0 = _float_array(self.p0, "p0")
+        p1 = _float_array(self.p1, "p1")
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
         if p0.ndim != 1 or p0.shape != p1.shape or p0.size == 0:

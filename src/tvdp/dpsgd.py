@@ -15,6 +15,7 @@ sampling rate is out of scope here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .composition import _kairouz_region, _types_region
@@ -49,8 +50,8 @@ class SgdConfig:
             raise ValidationError("dataset and batch sizes must be positive")
         if self.batch_size > self.dataset_size:
             raise ValidationError("batch size cannot exceed dataset size")
-        if not self.epochs > 0.0:
-            raise ValidationError("epochs must be positive")
+        if not (self.epochs > 0.0 and math.isfinite(self.epochs * self.dataset_size)):
+            raise ValidationError("epochs must be positive, with a finite epochs * n")
         if not self.step_mu > 0.0:
             raise ValidationError("step_mu must be positive")
         grid = tuple(float(e) for e in self.epsilon_grid)

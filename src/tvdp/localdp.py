@@ -20,6 +20,7 @@ from .divergences import (
     DiscretePair,
     DivergenceSpec,
     _chi2_generator,
+    _float_array,
     _kl_generator,
     _LeCamGenerator,
 )
@@ -34,7 +35,7 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _float_array(self.matrix, "matrix")
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 1:
             raise ValidationError("channel needs a 2-d matrix with >= 2 input rows")
@@ -64,7 +65,7 @@ class Channel:
     def from_dict(cls, payload: dict) -> "Channel":
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ValidationError('channel must be a JSON object with a "matrix" key')
-        return cls(np.asarray(payload["matrix"], dtype=float))
+        return cls(payload["matrix"])
 
 
 def ldp_epsilon(channel: Channel) -> float:

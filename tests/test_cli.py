@@ -300,6 +300,21 @@ EDGE_ARGV = [
          "--eps-from", "1e308", "--eps-to", "1e308", "--eps-step", "1"],
         "epsilon = 1e+308",
     ),
+    # the flags come first where the usual order would repeat the id of an
+    # entry above
+    (
+        ["sgd", "--epochs", "inf", "--n", "1000", "--batch", "100", "--mu", "0.5",
+         "--eps-from", "0.5", "--eps-to", "0.6", "--eps-step", "0.1"],
+        "epochs",
+    ),
+    (
+        ["sgd", "--epochs", "1e308", "--n", "1000", "--batch", "1", "--mu", "0.5",
+         "--eps-from", "0.5", "--eps-to", "0.6", "--eps-step", "0.1"],
+        "epochs",
+    ),
+    (["ldp", "check", "--channel", '{"matrix": {"a": 1}}'], "matrix"),
+    (["ldp", "bemech", "--pair", '{"p0": {"a": 1}, "p1": [1]}', "--eps", "1", "--eta", "0.3"], "p0"),
+    (["ldp", "bemech", "--pair", '{"p0": [0.5, 0.5]}', "--eps", "1", "--eta", "0.3"], '"p1" keys'),
 ]
 
 

@@ -1,5 +1,5 @@
+import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,6 +279,26 @@ class TestDominanceAndSymmetry:
         assert sup_norm(c, c.mirror()) <= 1e-12
 
 
+def _random_lines():
+    rng = np.random.default_rng(5)
+    lm = rng.normal(0.0, 20.0, 400)
+    lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, 400)), lm)  # f <= 1 - t
+    return lm, lb
+
+
+def _raised_tangent_lines():
+    """Tangents of f = (1 - sqrt t)^2, which all lead, and the middle one
+    raised by 0.05 in lb, which hides only its two current neighbours per
+    pass: the envelope keeps 699 of the 2001 lines after about 300 passes.
+    Every lb is then lowered by 0.05, which scales all lines by one factor
+    and so keeps the same lines leading, so that f(0) <= 1."""
+    s = np.logspace(-6, -1e-9, 2000)  # sqrt t at the tangent points
+    lm = np.log((1 - s) / s)
+    lb = np.log((1 - s) ** 2 + (1 - s) * s)
+    mid = s.size // 2
+    return np.append(lm, lm[mid]), np.append(lb, lb[mid] + 0.05) - 0.05
+
+
 class TestLogCoordinates:
     def test_slopes_beyond_double_range(self):
         # kink at t = e^-3000 with f = e^-3000: both underflow as doubles
@@ -292,19 +312,17 @@ class TestLogCoordinates:
         assert delta_at_epsilon(c, 2999.0) == pytest.approx(1.0 - 1.0 / E, rel=1e-9)
         assert not check_budget(c, PrivacyBudget(2999.0, 0.5, 1.0))
 
-    # with no vectorised passes the sequential scan alone builds the envelope
-    @pytest.mark.parametrize("scan_only", [False, True])
-    def test_envelope_is_pointwise_max_of_lines(self, monkeypatch, scan_only):
-        if scan_only:
-            monkeypatch.setattr(curves, "_MAX_PASSES", 0)
-        rng = np.random.default_rng(5)
-        lm = rng.normal(0.0, 20.0, 400)
-        lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, 400)), lm)  # f <= 1 - t
+    @pytest.mark.parametrize(
+        "family", [_random_lines, _raised_tangent_lines], ids=["random", "raised_tangent"]
+    )
+    def test_envelope_is_pointwise_max_of_lines(self, family):
+        lm, lb = family()
         env = curves._upper_envelope(lm, lb)
         log_t = np.union1d(env._lt, np.linspace(-80.0, 0.0, 2001))
         lines = np.exp(lb)[:, None] - np.exp(lm[:, None] + log_t)
         brute = np.maximum(0.0, lines.max(axis=0))
         assert np.max(np.abs(env._at_log(log_t) - brute)) <= 1e-12
+        _assert_envelope_matches_reference(lm, lb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,8 +342,9 @@ def test_budget_curve_round_trip_property(eps, delta, frac):
 # ---------------------------------------------------------------------------
 # The envelope's pass loop keeps each crossing that a pass leaves in place and
 # recomputes only those of newly adjacent pairs.  The function below is a
-# regression reference: a copy of the earlier loop, which recomputed every
-# crossing on every pass, with its own copy of the crossing formula.
+# regression reference: a pass loop that recomputes every crossing on every
+# pass until no line is hidden, with its own copy of the crossing formula and
+# its own lexsort.
 
 
 def _reference_envelope(log_slopes, log_intercepts):
@@ -348,7 +367,7 @@ def _reference_envelope(log_slopes, log_intercepts):
     keep = np.ones(lm.size, dtype=bool)
     keep[:-1] = lb[:-1] > flatter_best[1:]
     lm, lb = lm[keep], lb[keep]
-    for _ in range(curves._MAX_PASSES):
+    while True:
         cross = crossings(lm, lb)
         hidden = curves._hands_over_first(cross[:-1], cross[1:])
         if not hidden.any():
@@ -356,9 +375,6 @@ def _reference_envelope(log_slopes, log_intercepts):
         keep = np.ones(lm.size, dtype=bool)
         keep[1:-1] = ~hidden
         lm, lb = lm[keep], lb[keep]
-    else:
-        lm, lb = curves._hull_scan(lm, lb)
-        cross = crossings(lm, lb)
     n = 1 + int(np.count_nonzero(cross < 0.0))
     lm, lb, cross = lm[:n], lb[:n], cross[: n - 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -374,10 +390,10 @@ def _reference_envelope(log_slopes, log_intercepts):
     return lm, lb, lt, np.minimum(lf, 0.0)
 
 
-def _assert_envelope_matches_reference(lm, lb, max_passes):
-    with mock.patch.object(curves, "_MAX_PASSES", max_passes):
+def _assert_envelope_matches_reference(lm, lb, env=None):
+    if env is None:
         env = curves._upper_envelope(lm, lb)
-        want = _reference_envelope(lm, lb)
+    want = _reference_envelope(lm, lb)
     got = (env._lm, env._lb, env._lt, env._lf)
     for name, a, b in zip(("lm", "lb", "lt", "lf"), got, want):
         assert a.tobytes() == b.tobytes(), name  # signed zeros count
@@ -390,9 +406,8 @@ def _assert_envelope_matches_reference(lm, lb, max_passes):
     frac=st.floats(0.0, 1.0),
     k=st.integers(1, 2000),
     kairouz=st.booleans(),
-    max_passes=st.sampled_from([0, 1, 2, 32]),
 )
-def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz, max_passes):
+def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz):
     if kairouz:
         alpha, levels = 0.0, composition._kairouz_levels(k)
     else:
@@ -401,7 +416,7 @@ def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz, 
     j, log_keep, _, _ = composition._grid_columns(k, [eps], [delta], [alpha], levels)
     eps_j = j * eps
     lm, lb = np.concatenate((eps_j, -eps_j)), np.concatenate((log_keep[0], log_keep[0] - eps_j))
-    _assert_envelope_matches_reference(lm, lb, max_passes)
+    _assert_envelope_matches_reference(lm, lb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,13 +424,12 @@ def test_ledger_envelope_is_unchanged_bit_for_bit(eps, delta, frac, k, kairouz, 
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 600),
     spread=st.sampled_from([0.5, 3.0, 20.0, 300.0]),
-    max_passes=st.sampled_from([0, 1, 2, 32]),
 )
-def test_random_line_envelope_is_unchanged_bit_for_bit(seed, n, spread, max_passes):
+def test_random_line_envelope_is_unchanged_bit_for_bit(seed, n, spread):
     rng = np.random.default_rng(seed)
     lm = rng.normal(0.0, spread, n)
     lb = np.minimum(-np.abs(rng.normal(0.0, 3.0, n)), lm)  # f <= 1 - t
-    _assert_envelope_matches_reference(lm, lb, max_passes)
+    _assert_envelope_matches_reference(lm, lb)
 
 
 # The envelope sorts by slope alone and keeps the highest line of each slope.
@@ -433,10 +447,9 @@ _TIED_EPS = [round(0.5 + 0.1 * i, 12) for i in range(30)] + [0.25, 0.75, 1.25]
     first_j=st.integers(0, 1),
     k=st.integers(1, 120),
     seed=st.integers(0, 2**32 - 1),
-    max_passes=st.sampled_from([0, 1, 2, 32]),
 )
 def test_envelope_with_many_slope_ties_is_unchanged_bit_for_bit(
-    eps, copies, first_j, k, seed, max_passes
+    eps, copies, first_j, k, seed
 ):
     rng = np.random.default_rng(seed)
     # starting at j = 1 leaves out the zero slope: one of its lines with
@@ -451,7 +464,7 @@ def test_envelope_with_many_slope_ties_is_unchanged_bit_for_bit(
     )
     lm = np.concatenate((eps_j, -eps_j), axis=None)
     lb = np.concatenate((log_keep, log_keep - eps_j), axis=None)
-    _assert_envelope_matches_reference(lm, lb, max_passes)
+    _assert_envelope_matches_reference(lm, lb)
 
 
 def test_envelope_builds_sort_by_slope_alone(monkeypatch):
@@ -521,10 +534,9 @@ def test_grid_rows_equal_single_builds_bit_for_bit(budgets, k, kairouz):
     seed=st.integers(0, 2**32 - 1),
     families=st.integers(1, 8),
     n=st.integers(1, 300),
-    max_passes=st.sampled_from([0, 1, 2, 32]),
 )
 def test_envelope_of_line_families_equals_intersect_of_their_envelopes(
-    seed, families, n, max_passes
+    seed, families, n
 ):
     rng = np.random.default_rng(seed)
     # each family its own spread, and some families' lines mostly dominated
@@ -547,11 +559,44 @@ def test_envelope_of_line_families_equals_intersect_of_their_envelopes(
     lm[again & (lm == 0.0)] *= -1.0
     floor = rng.random((families, n)) < 0.05
     lm[floor] = lb[floor] = -np.inf
-    with mock.patch.object(curves, "_MAX_PASSES", max_passes):
-        whole = curves._upper_envelope(lm, lb)
-        parts = intersect([curves._upper_envelope(m, b) for m, b in zip(lm, lb)])
+    whole = curves._upper_envelope(lm, lb)
+    parts = intersect([curves._upper_envelope(m, b) for m, b in zip(lm, lb)])
     for name in ("_lm", "_lb", "_lt", "_lf"):
         assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes(), name
+
+
+# Each input curve's lines already form a hull, so a line of the other curve
+# hides only its two current neighbours per pass, and these intersections
+# take hundreds of passes.  The digests were taken when a sequential scan
+# built them.
+
+
+def _long_ledger_curve(eps, frac, k):
+    budget = PrivacyBudget(eps, 0.0, frac * math.tanh(eps / 2))
+    return tvdp.ledger_to_curve(tvdp.compose_exact(budget, k))
+
+
+@pytest.mark.parametrize(
+    "second, digest",
+    [
+        (
+            lambda: _long_ledger_curve(0.02, 0.9, 5000),
+            "ad4a151036f7fb6fac14e4e5102e364c8692b564efc023145bf48aa8b924d260",
+        ),
+        (
+            lambda: curve_from_budget(PrivacyBudget(1.0, 0.0, 0.3)),
+            "c05be50672417959b46d6501220e1dd272e070a28a7034447673e4f52e394087",
+        ),
+    ],
+    ids=["ledger", "budget"],
+)
+def test_intersect_with_a_long_ledger_curve_is_pinned_bit_for_bit(second, digest):
+    parts = [_long_ledger_curve(0.01, 0.5, 10**4), second()]
+    got = intersect(parts)
+    log_form = (got._lm, got._lb, got._lt, got._lf)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in log_form)).hexdigest() == digest
+    lm, lb = (np.concatenate([getattr(c, name) for c in parts]) for name in ("_lm", "_lb"))
+    _assert_envelope_matches_reference(lm, lb, got)
 
 
 def test_pass_loop_computes_every_crossing_once(monkeypatch):

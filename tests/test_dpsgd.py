@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import tvdp.composition
-import tvdp.curves
 import tvdp.dpsgd
 from tvdp import (
     SgdConfig,
@@ -333,20 +332,6 @@ def test_grid_errors_at_each_tol_keep_grid_order(grid, tol, errors):
         with pytest.raises(ValueError, match=message) as raised:
             run()
         assert type(raised.value) is error
-
-
-@pytest.mark.parametrize("mu", [0.6, 0.75, 0.9])
-def test_grid_envelopes_never_fall_back_to_the_scan(monkeypatch, mu):
-    # at the C12 shape with batch 1024 the refined region is one envelope
-    # of 52 801 lines, which the vectorised passes finish in about a third
-    # of _MAX_PASSES
-    def refuse(*args):
-        raise AssertionError("sequential scan")
-
-    monkeypatch.setattr(tvdp.curves, "_hull_scan", refuse)
-    config = SgdConfig(60_000, 1024, 15.0, mu, C12_GRID)
-    assert config.steps == 879
-    assert sgd_compare(config)["dominance"]["strict"] is True
 
 
 # sha256 of the full report: the README examples pin 12 digits, these pin
