@@ -328,27 +328,26 @@ def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
 
 
 def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and its mirror
-    f = e^-eps_j (1-delta_j-t) of every (eps_j, log(1 - delta_j)), in arrays
-    of any one shape; the log form keeps intercepts alive once delta_j
-    rounds to 1.  A line with eps_j = 0 is its own mirror, so only the
-    steeper lines are mirrored; a ledger's lines then share no slope.  The
-    mirrors go over as temporaries, which the envelope frees before its
-    sort."""
-    return _upper_envelope(
-        (eps_j, -eps_j[eps_j > 0.0]), (log_keep, (log_keep - eps_j)[eps_j > 0.0])
-    )
+    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and their
+    mirrors f = e^-eps_j (1-delta_j-t) of every (eps_j >= 0,
+    log(1 - delta_j)), in arrays of any one shape: a symmetric curve, built
+    from the DP lines alone and mirrored (``curves._mirrored_curve``).  The
+    log form keeps intercepts alive once delta_j rounds to 1."""
+    return _upper_envelope(eps_j, log_keep, symmetric=True)
 
 
 def _entries_to_curve(entries) -> TradeoffCurve:
-    """``_lines_to_curve`` of ledger entries."""
+    """``_lines_to_curve`` of ledger entries, whose epsilons must be >= 0."""
+    eps_j = np.array([e.epsilon for e in entries], dtype=float)
+    if not (eps_j >= 0.0).all():
+        raise ValidationError("ledger entry epsilons must be >= 0")
     log_keep = [
         e.log_one_minus_delta
         if e.log_one_minus_delta is not None
         else (math.log1p(-e.delta) if e.delta < 1.0 else -math.inf)
         for e in entries
     ]
-    return _lines_to_curve(np.array([e.epsilon for e in entries]), np.array(log_keep))
+    return _lines_to_curve(eps_j, np.array(log_keep))
 
 
 def ledger_to_curve(ledger: CompositionLedger) -> TradeoffCurve:

@@ -16,10 +16,15 @@ view for output and for evaluation at double-precision t; a curve built from
 its log form derives that view on first access, so curves that are only
 intersected or queried in log coordinates never build it.
 
-One function, ``_upper_envelope``, builds every curve: a budget's three
-lines, a ledger's DP lines, the lines of an intersection, and the DP lines
-of a whole grid of ledgers at once, which is the intersection of their
-regions.
+One function, ``_upper_envelope``, builds every curve: a budget's lines, a
+ledger's DP lines, the lines of an intersection, and the DP lines of a whole
+grid of ledgers at once, which is the intersection of their regions.  Budget
+curves, ledger curves and their intersections are symmetric about the
+diagonal, since each DP line comes with its mirror.  Such a curve is flagged
+and built from its steep half alone: the envelope of the lines with slope
+-1 or steeper, cut at the diagonal, and that half mirrored (see
+``_mirrored_curve``).  Its flat half is then the exact mirror of the steep
+half, and its privacy profile is read from the steep half's intercepts.
 """
 
 from __future__ import annotations
@@ -121,14 +126,18 @@ class TradeoffCurve:
     the linear vertex view (see the module docstring): a curve built from
     vertices keeps them, and a curve built from its log form derives them
     on first access.  The computations below run on the log-coordinate
-    form.  Instances are immutable; all operations return new curves.
+    form.  ``_symmetric`` flags a curve built as the mirror image of its
+    steep half (see the module docstring); curves given by their vertices
+    are not flagged.  Instances are immutable; all operations return new
+    curves.
     """
 
-    __slots__ = ("_view", "_lt", "_lf", "_lm", "_lb")
+    __slots__ = ("_view", "_lt", "_lf", "_lm", "_lb", "_symmetric")
 
     def __init__(self, xs, ys, validate: bool = True):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        object.__setattr__(self, "_symmetric", False)
         self._set_view(xs, ys)
         if validate:
             self._validate()
@@ -149,13 +158,14 @@ class TradeoffCurve:
         object.__setattr__(self, "_view", (xs, ys))
 
     @classmethod
-    def _from_log(cls, lt, lf, lm, lb) -> "TradeoffCurve":
+    def _from_log(cls, lt, lf, lm, lb, symmetric: bool = False) -> "TradeoffCurve":
         """Curve from its log-coordinate form; the linear view is derived
         on first access (see ``_derive_view``)."""
         self = object.__new__(cls)
         for name, arr in (("_lt", lt), ("_lf", lf), ("_lm", lm), ("_lb", lb)):
             self._set(name, arr)
         object.__setattr__(self, "_view", None)
+        object.__setattr__(self, "_symmetric", symmetric)
         return self
 
     @property
@@ -271,8 +281,11 @@ class TradeoffCurve:
 
         The line f = b - m t reflects to f = b/m - t/m.  Flat segments
         become vertical and drop out; the envelope's floor f = 0 stands in
-        for a vertical drop at t = 0.
+        for a vertical drop at t = 0.  A symmetric curve is its own mirror
+        and is returned as it is.
         """
+        if self._symmetric:
+            return self
         steep = np.isfinite(self._lm)
         lm = self._lm[steep]
         return _upper_envelope(-lm, self._lb[steep] - lm)
@@ -305,10 +318,9 @@ def _crossing(lm_i, lb_i, lm_j, lb_j) -> np.ndarray:
     (b_i - b_j) / (m_i - m_j), written without cancellation.
     """
     # slopes more than DBL_MAX apart overflow their log gap to -inf, the
-    # exact limit here (_log1mexp(-inf) = 0), so that overflow is benign
-    with np.errstate(over="ignore"):
-        slope_gap = lm_j - lm_i
-    return lb_i + _log1mexp(lb_j - lb_i) - lm_i - _log1mexp(slope_gap)
+    # exact limit here (_log1mexp(-inf) = 0), so the envelope ignores that
+    # overflow
+    return lb_i + _log1mexp(lb_j - lb_i) - lm_i - _log1mexp(lm_j - lm_i)
 
 
 def _crossings(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -324,8 +336,9 @@ def _hands_over_first(takes_over, hands_over):
     return takes_over >= hands_over - _SAME_LOG_T * (1.0 + np.abs(hands_over))
 
 
-def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
-    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0.
+def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> TradeoffCurve:
+    """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0,
+    or with ``symmetric``, of lines with lm >= 0, their mirrors and f = 0.
 
     Line i is given by lm = log of its slope's magnitude and lb = log of its
     intercept, so slopes and intercepts of any size are exact.  Each
@@ -342,7 +355,8 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     line drops it, so the passes end.  The crossings are computed once; a
     pass recomputes only those of the pairs its drops made adjacent.
     Callers must supply a line family whose envelope is a valid curve
-    (bounded by 1 - t, enforced by validation).
+    (bounded by 1 - t, enforced by validation).  The hull becomes a curve
+    in ``_hull_curve``, or with ``symmetric`` in ``_mirrored_curve``.
     """
     lm = _laid_out(log_slopes)
     lb = _laid_out(log_intercepts)
@@ -354,17 +368,24 @@ def _upper_envelope(log_slopes, log_intercepts) -> TradeoffCurve:
     del order
     lm, lb = _candidate_lines(lm, lb)
 
-    cross = _crossings(lm, lb)
-    hidden = _hands_over_first(cross[:-1], cross[1:])
-    while hidden.any():
-        keep = np.ones(lm.size, dtype=bool)
-        keep[1:-1] = ~hidden
-        lm = lm[keep]
-        lb = lb[keep]
-        cross = cross[keep[:-1]]
-        fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
-        cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
+    # Overflow to -inf is the exact limit in each step below: of the slope
+    # gaps in _crossing and, near -DBL_MAX (a slope near e^DBL_MAX), of the
+    # rounding allowance of _hands_over_first and of the mirrored
+    # intercepts lb - lm of _mirrored_curve.
+    with np.errstate(over="ignore"):
+        cross = _crossings(lm, lb)
         hidden = _hands_over_first(cross[:-1], cross[1:])
+        while hidden.any():
+            keep = np.ones(lm.size, dtype=bool)
+            keep[1:-1] = ~hidden
+            lm = lm[keep]
+            lb = lb[keep]
+            cross = cross[keep[:-1]]
+            fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
+            cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
+            hidden = _hands_over_first(cross[:-1], cross[1:])
+        if symmetric:
+            return _mirrored_curve(lm, lb, cross)
     return _hull_curve(lm, lb, cross)
 
 
@@ -414,22 +435,73 @@ def _hull_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCu
     # crossings increase along the hull).
     n = 1 + int(np.count_nonzero(cross < 0.0))
     lm, lb, cross = lm[:n], lb[:n], cross[: n - 1]
+    end = np.exp(lb[-1]) - np.exp(lm[-1])
+    lt = np.concatenate(([-np.inf], cross, [0.0]))
+    lf = np.concatenate(([lb[0]], _crossing_log_f(lm, lb), [_log(max(end, 0.0))]))
+    _clip_log_f(lt, lf)
+    return TradeoffCurve._from_log(lt, lf, lm, lb)
+
+
+def _crossing_log_f(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """log f at the crossing of each hull line with the next."""
     # f at the crossing of lines i and j: (b_j m_i - b_i m_j) / (m_i - m_j).
     # As in _crossings, a slope gap that overflows to -inf is the exact limit.
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.minimum(lb[:-1] - lb[1:] + lm[1:] - lm[:-1], 0.0)
-        lf_cross = np.where(
+        return np.where(
             lb[1:] == -np.inf,
             -np.inf,
             lb[1:] + _log1mexp(spread) - _log1mexp(lm[1:] - lm[:-1]),
         )
-    end = np.exp(lb[-1]) - np.exp(lm[-1])
-    lt = np.concatenate(([-np.inf], cross, [0.0]))
-    lf = np.concatenate(([lb[0]], lf_cross, [_log(max(end, 0.0))]))
-    lf = np.minimum(lf, 0.0)
-    if np.any(np.exp(lf) + np.exp(lt) > 1.0 + 1e-12):
+
+
+def _clip_log_f(lt: np.ndarray, lf: np.ndarray) -> None:
+    """Clip the vertices' log f at 0 in place, after checking f <= 1 - t."""
+    np.minimum(lf, 0.0, out=lf)
+    if (np.exp(lf) + np.exp(lt) > 1.0 + 1e-12).any():
         raise ValidationError("curve must satisfy f(x) <= 1 - x")
-    return TradeoffCurve._from_log(lt, lf, lm, lb)
+
+
+def _mirrored_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCurve:
+    """The symmetric curve whose steep half is the hull of lines with
+    lm >= 0 (and the floor), given with their crossings.
+
+    Line i meets the diagonal f = t at log t = lb - log(1 + e^lm).  A line
+    that takes over no earlier than that is past the diagonal, where the
+    mirrored lines lead, so it goes, and every flatter line with it (a lead
+    over a rounding-level width counts as none, as in the envelope).  If
+    the last line left has slope -1, it is its own mirror and is the middle
+    segment; otherwise the mirror of the last line takes over from it on
+    the diagonal.  The flat half is the steep half reversed, with vertices
+    (lt, lf) -> (lf, lt) and lines (lm, lb) -> (-lm, lb - lm).  A curve
+    that starts below 1 at t = 0 ends with the floor f = 0, the mirror of
+    its drop at t = 0.  Runs under the envelope's overflow guard.
+    """
+    if lb[0] == -np.inf:  # the floor alone, its own mirror
+        lt, lf = np.array([-np.inf, 0.0]), np.array([-np.inf, -np.inf])
+        return TradeoffCurve._from_log(lt, lf, lm, lb, True)
+    diagonal = lb - np.logaddexp(0.0, lm)
+    # the floor, last on the hull, meets the diagonal at -inf and always goes
+    n = 1 + int(_hands_over_first(cross, diagonal[1:]).argmax())
+    lm, lb = lm[:n], lb[:n]
+    steep = n - int(lm[-1] == 0.0)  # lines of slope below -1
+    half = steep + 1  # vertices up to the middle segment or the diagonal
+    floor = int(lb[0] < 0.0)
+    lt, lf = np.empty(half + n + floor), np.empty(half + n + floor)
+    lt[0], lf[0] = -np.inf, lb[0]
+    lt[1:n] = cross[: n - 1]
+    lf[1:n] = _crossing_log_f(lm, lb)
+    lt[n:half] = lf[n:half] = diagonal[n - 1]  # no middle segment: end on the diagonal
+    _clip_log_f(lt[:half], lf[:half])
+    lt[half : half + n] = lf[n - 1 :: -1]
+    lf[half : half + n] = lt[n - 1 :: -1]
+    m, b = np.empty(n + steep + floor), np.empty(n + steep + floor)
+    m[:n], b[:n] = lm, lb
+    m[n : n + steep] = -lm[:steep][::-1]
+    b[n : n + steep] = (lb[:steep] - lm[:steep])[::-1]
+    if floor:
+        lt[-1], lf[-1], m[-1], b[-1] = 0.0, -np.inf, -np.inf, -np.inf
+    return TradeoffCurve._from_log(lt, lf, m, b, True)
 
 
 def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
@@ -441,8 +513,7 @@ def curve_from_budget(budget: PrivacyBudget) -> TradeoffCurve:
     """
     log_keep = math.log1p(-budget.delta) if budget.delta < 1.0 else -math.inf
     log_tv = math.log1p(-budget.eta) if budget.eta < 1.0 else -math.inf
-    eps = budget.epsilon
-    return _upper_envelope((eps, -eps, 0.0), (log_keep, log_keep - eps, log_tv))
+    return _upper_envelope([budget.epsilon, 0.0], [log_keep, log_tv], symmetric=True)
 
 
 def check_budget(curve: TradeoffCurve, budget: PrivacyBudget) -> bool:
@@ -460,8 +531,13 @@ def intersect(curves) -> TradeoffCurve:
     curves = list(curves)
     if not curves:
         raise ValueError("intersect requires at least one curve")
+    # symmetric curves intersect to one, the envelope of their steep halves
+    symmetric = all(c._symmetric for c in curves)
+    ends = [np.count_nonzero(c._lm >= 0.0) if symmetric else c._lm.size for c in curves]
     return _upper_envelope(
-        tuple(c._lm for c in curves), tuple(c._lb for c in curves)
+        tuple(c._lm[:n] for c, n in zip(curves, ends)),
+        tuple(c._lb[:n] for c, n in zip(curves, ends)),
+        symmetric,
     )
 
 
@@ -567,9 +643,46 @@ def strict_improvement(
 
 
 def delta_at_epsilon(curve: TradeoffCurve, epsilon: float) -> float:
-    """Smallest delta such that the curve satisfies (epsilon, delta)-DP."""
+    """Smallest delta such that the curve satisfies (epsilon, delta)-DP.
+
+    That is 1 - min over vertices of t + e^eps f or e^eps t + f.  On a
+    symmetric curve the two agree, and ``_symmetric_delta`` reads delta
+    from the supporting lines instead, with relative precision.
+    """
+    if curve._symmetric and epsilon >= 0.0:
+        return _symmetric_delta(curve._lm, curve._lb, epsilon)
     lt, lf = curve._lt, curve._lf
     lo = min(
         np.min(np.logaddexp(lt, epsilon + lf)), np.min(np.logaddexp(epsilon + lt, lf))
     )
     return float(max(0.0, -math.expm1(lo)))
+
+
+def _symmetric_delta(lm: np.ndarray, lb: np.ndarray, epsilon: float) -> float:
+    """delta(epsilon) = 1 - b of a symmetric curve, b the intercept of its
+    tangent of slope -e^epsilon (epsilon >= 0), from its supporting lines.
+
+    Each line's intercept is e^lb = 1 - delta of its own slope, so a line
+    of slope -e^epsilon gives delta = -expm1(lb).  Otherwise the tangent
+    touches the vertex between the segments s and s+1 around that slope,
+    and b = lambda b_s + (1 - lambda) b_{s+1} with lambda = (e^eps -
+    e^lm_{s+1}) / (e^lm_s - e^lm_{s+1}), so delta is the same mix of the two
+    lines' deltas, a sum of positive terms; where that reaches 1/2, delta
+    is 1 - b instead, b being the sum of positive terms then.  A slope
+    steeper than every segment touches at t = 0, where the first line's
+    delta holds.
+    """
+    s = int(np.searchsorted(-lm, -epsilon, side="right")) - 1  # last lm >= eps
+    if s < 0 or lm[s] == epsilon:
+        delta = -math.expm1(lb[max(s, 0)])
+    else:
+        m0, m1 = float(lm[s]), float(lm[s + 1])
+        with np.errstate(over="ignore"):  # as in _crossing, -inf is the limit
+            log_norm = float(_log1mexp(m1 - m0))
+        log_lam = epsilon - m0 + float(_log1mexp(m1 - epsilon)) - log_norm
+        log_rest = float(_log1mexp(epsilon - m0)) - log_norm
+        lam, rest = math.exp(log_lam), math.exp(log_rest)
+        delta = lam * -math.expm1(lb[s]) + rest * -math.expm1(lb[s + 1])
+        if delta >= 0.5:
+            delta = 1.0 - (math.exp(log_lam + lb[s]) + math.exp(log_rest + lb[s + 1]))
+    return max(0.0, delta)  # and not -0.0

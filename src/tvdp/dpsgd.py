@@ -16,6 +16,7 @@ sampling rate is out of scope here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .composition import _kairouz_region, _types_region
@@ -33,6 +34,10 @@ from .mechanisms import gaussian_delta, gaussian_tv
 # External reference point for the same configuration, reported alongside
 # results as an annotation only (never asserted).
 MOMENTS_ACCOUNTANT_REFERENCE = {"epsilon": 1.19, "delta": 1e-5}
+
+# Largest step count whose row of 2 * steps + 1 level masses (doubles) an
+# array can index: its size in bytes must fit a signed machine word.
+_MAX_STEPS = (sys.maxsize // 8 - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,11 @@ class SgdConfig:
         object.__setattr__(self, "epsilon_grid", grid)
         if self.steps < 1:
             raise ValidationError("configuration yields zero steps")
+        if self.steps > _MAX_STEPS:
+            raise ValidationError(
+                f"epochs = {self.epochs:.12g} gives {self.steps:.12g} steps, more than "
+                f"the {_MAX_STEPS} whose level masses an array can hold"
+            )
 
     @property
     def steps(self) -> int:

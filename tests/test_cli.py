@@ -315,6 +315,12 @@ EDGE_ARGV = [
     (["ldp", "check", "--channel", '{"matrix": {"a": 1}}'], "matrix"),
     (["ldp", "bemech", "--pair", '{"p0": {"a": 1}, "p1": [1]}', "--eps", "1", "--eta", "0.3"], "p0"),
     (["ldp", "bemech", "--pair", '{"p0": [0.5, 0.5]}', "--eps", "1", "--eta", "0.3"], '"p1" keys'),
+    # 1e21 steps: more level masses than an array can index
+    (
+        ["sgd", "--epochs", "1e20", "--n", "1000", "--batch", "100", "--mu", "0.5",
+         "--eps-from", "0.5", "--eps-to", "0.6", "--eps-step", "0.1"],
+        "epochs",
+    ),
 ]
 
 
@@ -455,14 +461,14 @@ README_EXAMPLES = [
      "c5463276a07351eb06e84e034d93b1f7209525002a8f5beee83139349864ccc5"),
     ("sgd-csv", ["sgd", "--n", "60000", "--batch", "256", "--epochs", "15", "--mu", "0.7692307692",
                  "--eps-from", "0.5", "--eps-to", "3.4", "--eps-step", "0.1", "--out", "csv"],
-     "3d00ae49b807e5982471125c9899122185bad506568af6c99c340d2b04808485"),
+     "84ea55216a4a3a9e87c7d1e240cc751de42d35be46006b50a2388ff6040394bd"),
 ]
 # The README sgd run as JSON, plain and with the baseline curve, with the
 # sha256 of its stdout.
 SGD_JSON_EXAMPLES = [
-    ("plain", [], "a16b04e79dabb2e8bca1ca8b7dd85a0bc949e3fbded5731ad05afedcbffe3fd9"),
+    ("plain", [], "abdd439d7c4ce9554913e7c03e664dacff5edef88d2fec2df03591759db9c462"),
     ("full-curves", ["--full-curves"],
-     "b1473a6368170997042fe06a63b389f8844e67a476eee6cc4e9a7c2e2e633075"),
+     "3f255ab768cd49e4648908c770f05c0b265a8e5e45dc56951d883e055793c1a8"),
 ]
 # The examples that need a special function (Phi for the Gaussian profile,
 # Phi and its inverse for G_mu) and so load scipy.special.

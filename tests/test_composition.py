@@ -15,8 +15,10 @@ from oracles import (
 )
 from tvdp import (
     CapacityError,
+    CompositionLedger,
     DiscretePair,
     DominatingSpec,
+    LedgerEntry,
     PrivacyBudget,
     ValidationError,
     compose_exact,
@@ -151,6 +153,16 @@ class TestLedgerToCurve:
         baseline = ledger_to_curve(compose_kairouz(1.0, 0.0, 5))
         assert min_gap(refined, baseline) >= -1e-9
         assert max_gap(refined, baseline) >= 1e-3
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan])
+    def test_entry_epsilon_must_be_non_negative(self, eps):
+        # the curve is built from the DP lines and their mirrors, which
+        # needs slopes of -1 or steeper
+        led = compose_exact(BUDGET_REF, 2)
+        entries = led.entries[:-1] + (LedgerEntry(2, eps, 0.0),)
+        bad = CompositionLedger(k=2, base=BUDGET_REF, entries=entries, composed_eta=0.3)
+        with pytest.raises(ValidationError, match="epsilons must be >= 0"):
+            ledger_to_curve(bad)
 
 
 class TestOracleCompose:

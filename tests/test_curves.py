@@ -565,10 +565,10 @@ def test_envelope_of_line_families_equals_intersect_of_their_envelopes(
         assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes(), name
 
 
-# Each input curve's lines already form a hull, so a line of the other curve
-# hides only its two current neighbours per pass, and these intersections
-# take hundreds of passes.  The digests were taken when a sequential scan
-# built them.
+# Intersections with a long ledger curve, which took hundreds of passes
+# when the flat halves went into the envelope too.  Their steep halves are
+# those a sequential scan once built, bit for bit; the digests were taken
+# when the flat halves became the mirrors of the steep ones.
 
 
 def _long_ledger_curve(eps, frac, k):
@@ -581,11 +581,11 @@ def _long_ledger_curve(eps, frac, k):
     [
         (
             lambda: _long_ledger_curve(0.02, 0.9, 5000),
-            "ad4a151036f7fb6fac14e4e5102e364c8692b564efc023145bf48aa8b924d260",
+            "156ab6cf4f0f005987cd6b4803e3891d6917bb66717498ce3ab5802a2470fba7",
         ),
         (
             lambda: curve_from_budget(PrivacyBudget(1.0, 0.0, 0.3)),
-            "c05be50672417959b46d6501220e1dd272e070a28a7034447673e4f52e394087",
+            "fe9ca158b46080c3c81b5117a68dea186186974a4dd483d3292c7c4190346a01",
         ),
     ],
     ids=["ledger", "budget"],
@@ -596,7 +596,7 @@ def test_intersect_with_a_long_ledger_curve_is_pinned_bit_for_bit(second, digest
     log_form = (got._lm, got._lb, got._lt, got._lf)
     assert hashlib.sha256(b"".join(a.tobytes() for a in log_form)).hexdigest() == digest
     lm, lb = (np.concatenate([getattr(c, name) for c in parts]) for name in ("_lm", "_lb"))
-    _assert_envelope_matches_reference(lm, lb, got)
+    _assert_symmetric_build(got, lm[lm >= 0.0], lb[lm >= 0.0])
 
 
 def test_pass_loop_computes_every_crossing_once(monkeypatch):
@@ -617,10 +617,182 @@ def test_pass_loop_computes_every_crossing_once(monkeypatch):
     j, log_keep, _, _ = composition._grid_columns(
         2000, [b.epsilon], [b.delta], [composition._composable_alpha(b, 2000)]
     )
-    composition._lines_to_curve(j * b.epsilon, log_keep[0])
-    # several passes drop lines, and none goes back to the full crossing list
+    # a ledger's DP lines and their mirrors, and a grid region's DP lines
+    # in a symmetric build: several passes drop lines in each, and none
+    # goes back to the full crossing list
+    curves._upper_envelope(*_with_mirrors(j * b.epsilon, log_keep[0]))
     assert calls["passes"] >= 3
     assert calls["crossings"] == 1
+    calls.update(crossings=0, passes=0)
+    region = tvdp.sgd_region(tvdp.SgdConfig(20_000, 100, 1.0, 0.6, (0.5, 1.0, 2.0)))
+    assert region._symmetric
+    assert calls["passes"] >= 4  # the last one cuts the steep half at the diagonal
+    assert calls["crossings"] == 1
+
+
+# Budget curves, ledger curves, SGD regions and their intersections are
+# symmetric about the diagonal.  They are built from their lines with
+# lm >= 0 and mirrored; the reference is the envelope of those lines and
+# their mirrors by the full-recompute pass loop above.
+
+
+def _with_mirrors(lm, lb):
+    """The lines (lm >= 0, any shape) and the mirrors of the steeper ones."""
+    lm, lb = np.ravel(lm), np.ravel(lb)
+    steep = lm > 0.0
+    return np.concatenate((lm, -lm[steep])), np.concatenate((lb, (lb - lm)[steep]))
+
+
+def _assert_self_mirror(curve):
+    """The log form reversed with (lt, lf) -> (lf, lt) and (lm, lb) ->
+    (-lm, lb - lm) is the log form itself, apart from the floor that closes
+    a curve starting below 1 (the mirror of its drop at t = 0)."""
+    lt, lf, lm, lb = curve._lt, curve._lf, curve._lm, curve._lb
+    if lf[0] < 0.0:
+        assert lt[-1] == 0.0 and lf[-1] == lm[-1] == lb[-1] == -np.inf
+        lt, lf, lm, lb = lt[:-1], lf[:-1], lm[:-1], lb[:-1]
+    assert np.array_equal(lt, lf[::-1])
+    steep = int(np.count_nonzero(lm > 0.0))
+    assert lm.size - 2 * steep in (0, 1)  # the middle segment, of slope -1
+    assert np.all(lm[steep : lm.size - steep] == 0.0)
+    assert np.array_equal(lm[lm.size - steep :], -lm[:steep][::-1])
+    assert np.array_equal(lb[lb.size - steep :], (lb - lm)[:steep][::-1])
+
+
+def _assert_symmetric_build(curve, lm, lb):
+    """``curve`` is flagged, its own mirror, and its steep half (lm > 0, and
+    the vertex ending it where a middle segment follows) is bit for bit
+    that of the envelope of the lines (lm, lb) and their mirrors."""
+    assert curve._symmetric
+    _assert_self_mirror(curve)
+    want = _reference_envelope(*_with_mirrors(lm, lb))
+    steep = int(np.count_nonzero(curve._lm > 0.0))
+    assert steep == np.count_nonzero(want[0] > 0.0)
+    ends = steep + int(steep < curve._lm.size and curve._lm[steep] == 0.0)
+    for name, got, ref in zip(("lm", "lb"), (curve._lm, curve._lb), want[:2]):
+        assert got[:steep].tobytes() == ref[:steep].tobytes(), name
+    for name, got, ref in zip(("lt", "lf"), (curve._lt, curve._lf), want[2:]):
+        assert got[:ends].tobytes() == ref[:ends].tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["exact", "types", "kairouz", "budget", "grid", "kairouz grid"]),
+    eps=st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=4),
+    delta=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+    frac=st.floats(0.0, 1.0),
+    k=st.integers(1, 2000),
+)
+def test_symmetric_curves_keep_the_steep_half_and_are_their_own_mirror(
+    kind, eps, delta, frac, k
+):
+    eps = sorted(eps)
+    budgets = [
+        PrivacyBudget(e, delta, delta + frac * (tv_feasibility_cap(e, delta) - delta))
+        for e in eps
+    ]
+    b = budgets[0]
+    if kind == "budget":
+        curve = curve_from_budget(b)
+        lm = np.array([b.epsilon, 0.0])
+        lb = np.array([math.log1p(-b.delta), math.log1p(-b.eta)])
+    elif kind in ("grid", "kairouz grid"):
+        if kind == "grid":
+            alpha = [composition._composable_alpha(budget, k) for budget in budgets]
+            curve, levels = composition._region(k, budgets, alpha)[0], slice(None)
+        else:
+            alpha, levels = [0.0] * len(eps), composition._kairouz_levels(k)
+            curve = composition._kairouz_region(eps, [delta] * len(eps), k)
+        j, lb, _, _ = composition._grid_columns(k, eps, [delta] * len(eps), alpha, levels)
+        lm = j * np.array(eps)[:, None]
+    else:
+        ledger = {
+            "exact": lambda: tvdp.compose_exact(b, k),
+            "types": lambda: tvdp.compose_types_approx(b, k),
+            "kairouz": lambda: tvdp.compose_kairouz(b.epsilon, delta, k),
+        }[kind]()
+        curve = tvdp.ledger_to_curve(ledger)
+        lm = np.array([e.epsilon for e in ledger.entries])
+        lb = np.array([e.log_one_minus_delta for e in ledger.entries])
+    _assert_symmetric_build(curve, lm, lb)
+
+
+# A symmetric curve reads its privacy profile from its supporting lines,
+# whose intercepts are log(1 - delta_j): each ledger delta_j reads back with
+# relative precision, far below the 1e-16 that 1 - min(t + e^eps f) keeps.
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eps=st.floats(1e-3, 4.0),
+    delta=st.sampled_from([0.0, 1e-12, 1e-6]),
+    frac=st.floats(0.0, 1.0),
+    k=st.integers(1, 10**4),
+    kairouz=st.booleans(),
+)
+def test_ledger_curve_profile_returns_every_delta(eps, delta, frac, k, kairouz):
+    if kairouz:
+        ledger = tvdp.compose_kairouz(eps, delta, k)
+    else:
+        eta = delta + frac * (tv_feasibility_cap(eps, delta) - delta)
+        ledger = tvdp.compose_exact(PrivacyBudget(eps, delta, eta), k)
+    curve = tvdp.ledger_to_curve(ledger)
+    for e in ledger.entries:
+        if e.delta > 1e-300:
+            assert delta_at_epsilon(curve, e.epsilon) == pytest.approx(e.delta, rel=1e-12)
+
+
+def test_deep_ledger_delta_reads_back():
+    # delta_140 = 7.58e-17 of (1, 0, 0.3) at k = 200 read 5.16e-17 from
+    # 1 - min(t + e^eps f)
+    ledger = tvdp.compose_exact(PrivacyBudget(1.0, 0.0, 0.3), 200)
+    entry = ledger.entries[140]
+    assert entry.delta == pytest.approx(7.58e-17, rel=1e-3)
+    assert delta_at_epsilon(tvdp.ledger_to_curve(ledger), entry.epsilon) == pytest.approx(
+        entry.delta, rel=1e-12
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.0, 700.0),
+    delta=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-300, 1e-12, 1e-10, 1e-5])),
+    frac=st.floats(0.0, 1.0),
+)
+def test_budget_curve_returns_its_delta(eps, delta, frac):
+    # eta >= delta keeps the DP line on the curve
+    b = PrivacyBudget(eps, delta, delta + frac * (tv_feasibility_cap(eps, delta) - delta))
+    assert delta_at_epsilon(curve_from_budget(b), eps) == pytest.approx(delta, rel=1e-15)
+
+
+def test_symmetry_flag_marks_the_curves_built_as_mirror_images():
+    b = PrivacyBudget(1.0, 1e-6, 0.3)
+    config = tvdp.SgdConfig(600, 100, 1.0, 0.6, (0.5, 1.0, 2.0))
+    flagged = [
+        curve_from_budget(b),
+        tvdp.ledger_to_curve(tvdp.compose_exact(b, 50)),
+        tvdp.ledger_to_curve(tvdp.compose_types_approx(b, 50)),
+        tvdp.ledger_to_curve(tvdp.compose_kairouz(1.0, 1e-6, 51)),
+        tvdp.sgd_region(config),
+        tvdp.sgd_region_baseline(config),
+        # a staircase curve is the curve of its (epsilon, 0, eta) budget
+        tvdp.staircase_curve(tvdp.StaircaseSpec(0.5, 1.0)),
+    ]
+    for c in flagged:
+        assert c._symmetric and c.mirror() is c
+    assert intersect(flagged)._symmetric
+    pair = curve_from_pair(dominating_approx(b))
+    unflagged = [
+        pair,
+        pair.mirror(),
+        intersect([flagged[0], pair]),
+        TradeoffCurve.identity(),
+        TradeoffCurve.from_vertices([(0.0, 1.0), (0.5, 0.2), (1.0, 0.0)]),
+    ]
+    for c in unflagged:
+        assert not c._symmetric
+    # the mirror of an unflagged curve is built, as before
+    assert pair.mirror() is not pair
 
 
 class TestLazyLinearView:

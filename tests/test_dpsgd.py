@@ -53,6 +53,12 @@ class TestSgdConfig:
         with pytest.raises(ValidationError):
             SgdConfig(100, 10, 1.0, MU, (2.0, 1.0))
 
+    def test_step_count_an_array_cannot_index_is_rejected(self):
+        # only the configuration is built: no level masses are allocated
+        assert SgdConfig(1, 1, 2.0**58, MU, (1.0,)).steps == 2**58
+        with pytest.raises(ValidationError, match="epochs = 5.76460752303e"):
+            SgdConfig(1, 1, 2.0**59, MU, (1.0,))
+
     def test_zero_steps_rejected(self):
         with pytest.raises(ValidationError):
             SgdConfig(100, 100, 0.001, MU, (1.0,))
@@ -339,10 +345,10 @@ def test_grid_errors_at_each_tol_keep_grid_order(grid, tol, errors):
 @pytest.mark.parametrize(
     "batch, mu, digest",
     [
-        (1024, 0.6, "262ff4cdfa2d58e84ba71e22acd5f017455b26b734fa874d5d1f9d474a49df14"),
-        (1024, 0.75, "abe78c895cfbef2526b1cbc9cdbb7bbab353e60067239f1f85ebf24561620279"),
-        (1024, 0.871942, "3ff76c72119d89c766b8f300aaf030ec96acfad0f712225ea3a75af5f40ccc93"),
-        (256, 0.7692307692, "10d92f2ea88b11f041a646f613de536d49f358ad8052aef7971874bcf204442c"),
+        (1024, 0.6, "1af062268bf7d95a80e4d556cff2645f0d170f18b1a10ce6d7130e4dd8213f0f"),
+        (1024, 0.75, "ca1b199c6572047f6cf2ae5c27e925f5c29c364bd0ba62ea8177463274addb4f"),
+        (1024, 0.871942, "c7446a272ab884c177f42cc66ed45ef61c34390c2ce9358e19025e0d241b155b"),
+        (256, 0.7692307692, "135107f0a6f694530e11b19f39fef2297b8d150492324f62aeadd5794f863b0a"),
     ],
 )
 def test_sgd_compare_report_is_pinned_bit_for_bit(batch, mu, digest):
