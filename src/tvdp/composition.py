@@ -316,7 +316,7 @@ def _region(k: int, budgets, alpha, levels: slice = slice(None)):
     j, log_keep, _, eta = _grid_columns(
         k, eps, [b.delta for b in budgets], alpha, levels
     )
-    return _lines_to_curve(j * eps[:, None], log_keep), eta
+    return _upper_envelope(j * eps[:, None], log_keep, symmetric=True), eta
 
 
 def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
@@ -327,17 +327,12 @@ def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
     return _region(k, budgets, [0.0] * len(budgets), _kairouz_levels(k))[0]
 
 
-def _lines_to_curve(eps_j: np.ndarray, log_keep: np.ndarray) -> TradeoffCurve:
-    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and their
-    mirrors f = e^-eps_j (1-delta_j-t) of every (eps_j >= 0,
-    log(1 - delta_j)), in arrays of any one shape: a symmetric curve, built
-    from the DP lines alone and mirrored (``curves._mirrored_curve``).  The
-    log form keeps intercepts alive once delta_j rounds to 1."""
-    return _upper_envelope(eps_j, log_keep, symmetric=True)
-
-
 def _entries_to_curve(entries) -> TradeoffCurve:
-    """``_lines_to_curve`` of ledger entries, whose epsilons must be >= 0."""
+    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and their
+    mirrors f = e^-eps_j (1-delta_j-t) of ledger entries, whose epsilons
+    must be >= 0: a symmetric curve, built from the DP lines alone and
+    mirrored (``curves._mirrored_curve``).  The log form keeps intercepts
+    alive once delta_j rounds to 1."""
     eps_j = np.array([e.epsilon for e in entries], dtype=float)
     if not (eps_j >= 0.0).all():
         raise ValidationError("ledger entry epsilons must be >= 0")
@@ -347,7 +342,7 @@ def _entries_to_curve(entries) -> TradeoffCurve:
         else (math.log1p(-e.delta) if e.delta < 1.0 else -math.inf)
         for e in entries
     ]
-    return _lines_to_curve(eps_j, np.array(log_keep))
+    return _upper_envelope(eps_j, np.array(log_keep), symmetric=True)
 
 
 def ledger_to_curve(ledger: CompositionLedger) -> TradeoffCurve:

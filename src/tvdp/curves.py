@@ -24,7 +24,9 @@ diagonal, since each DP line comes with its mirror.  Such a curve is flagged
 and built from its steep half alone: the envelope of the lines with slope
 -1 or steeper, cut at the diagonal, and that half mirrored (see
 ``_mirrored_curve``).  Its flat half is then the exact mirror of the steep
-half, and its privacy profile is read from the steep half's intercepts.
+half.  The privacy profile of every curve, and with it the total
+variation, is read from its supporting lines (see ``_profile``); a curve
+that is not symmetric also reads its mirror's.
 """
 
 from __future__ import annotations
@@ -254,20 +256,10 @@ class TradeoffCurve:
         return np.clip(vals, 0.0, 1.0)
 
     def tv(self) -> float:
-        """Tightest eta such that t + f(t) >= 1 - eta everywhere.
-
-        t + f(t) falls while the slope is steeper than -1, so its minimum
-        is at the left end of the first segment with |slope| <= 1 (or at
-        t = 1, where it is at least 1).  There it is e^lb + t (1 - e^lm),
-        a sum of positive terms, so a small eta keeps its relative
-        precision.
-        """
-        flat = self._lm <= 0.0
-        if not flat.any():
-            return 0.0
-        s = int(np.argmax(flat))
-        log_min = np.logaddexp(self._lb[s], self._lt[s] + _log1mexp(self._lm[s]))
-        return max(0.0, float(-np.expm1(log_min)))
+        """Tightest eta such that t + f(t) >= 1 - eta everywhere: the
+        privacy profile at epsilon = 0, where both of its constraints are
+        this one (see ``_profile``)."""
+        return _profile(self, 0.0)
 
     def check_budget(self, budget: PrivacyBudget, tol: float = GEOM_TOL) -> bool:
         """True iff the curve satisfies all three budget inequalities."""
@@ -643,24 +635,26 @@ def strict_improvement(
 
 
 def delta_at_epsilon(curve: TradeoffCurve, epsilon: float) -> float:
-    """Smallest delta such that the curve satisfies (epsilon, delta)-DP.
+    """Smallest delta such that the curve satisfies (epsilon, delta)-DP:
+    f + e^eps t >= 1 - delta and t + e^eps f >= 1 - delta.
 
-    That is 1 - min over vertices of t + e^eps f or e^eps t + f.  On a
-    symmetric curve the two agree, and ``_symmetric_delta`` reads delta
-    from the supporting lines instead, with relative precision.
+    The first is the curve's ``_profile`` and the second its mirror's; a
+    symmetric curve is its own mirror.  At epsilon = inf this is the larger
+    one-sided mass, 1 - f(0) of the curve or of its mirror.
     """
-    if curve._symmetric and epsilon >= 0.0:
-        return _symmetric_delta(curve._lm, curve._lb, epsilon)
-    lt, lf = curve._lt, curve._lf
-    lo = min(
-        np.min(np.logaddexp(lt, epsilon + lf)), np.min(np.logaddexp(epsilon + lt, lf))
-    )
-    return float(max(0.0, -math.expm1(lo)))
+    if math.isnan(epsilon):
+        raise ValidationError("epsilon must not be NaN")
+    delta = _profile(curve, epsilon)
+    mirror = curve.mirror()
+    if mirror is not curve:
+        delta = max(delta, _profile(mirror, epsilon))
+    return delta
 
 
-def _symmetric_delta(lm: np.ndarray, lb: np.ndarray, epsilon: float) -> float:
-    """delta(epsilon) = 1 - b of a symmetric curve, b the intercept of its
-    tangent of slope -e^epsilon (epsilon >= 0), from its supporting lines.
+def _profile(curve: TradeoffCurve, epsilon: float) -> float:
+    """delta(epsilon) = 1 - b, b the intercept of the curve's tangent of
+    slope -e^epsilon, from its supporting lines: the least delta such that
+    f + e^eps t >= 1 - delta.
 
     Each line's intercept is e^lb = 1 - delta of its own slope, so a line
     of slope -e^epsilon gives delta = -expm1(lb).  Otherwise the tangent
@@ -670,11 +664,15 @@ def _symmetric_delta(lm: np.ndarray, lb: np.ndarray, epsilon: float) -> float:
     lines' deltas, a sum of positive terms; where that reaches 1/2, delta
     is 1 - b instead, b being the sum of positive terms then.  A slope
     steeper than every segment touches at t = 0, where the first line's
-    delta holds.
+    delta holds, and one flatter than every segment at t = 1, where f = 0
+    and delta = max(0, 1 - e^eps).
     """
+    lm, lb = curve._lm, curve._lb
     s = int(np.searchsorted(-lm, -epsilon, side="right")) - 1  # last lm >= eps
     if s < 0 or lm[s] == epsilon:
         delta = -math.expm1(lb[max(s, 0)])
+    elif s == lm.size - 1:  # f <= 1 - t makes the last slope -1 or flatter
+        delta = -math.expm1(epsilon)
     else:
         m0, m1 = float(lm[s]), float(lm[s + 1])
         with np.errstate(over="ignore"):  # as in _crossing, -inf is the limit

@@ -116,6 +116,23 @@ def random_pair(rng: np.random.Generator, size: int, full_support: bool = False)
     return rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))
 
 
+def hockey_stick_mp(p0, p1, epsilon: float, dps: int = 50):
+    """delta(epsilon) of a pmf pair from its masses, in mpmath: the larger
+    hockey-stick divergence, max(sum (p0 - e^eps p1)+, sum (p1 - e^eps p0)+),
+    which at epsilon = inf is the larger one-sided mass."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        scale = mpmath.exp(epsilon)  # inf at epsilon = inf
+        p0 = [mpmath.mpf(float(x)) for x in p0]
+        p1 = [mpmath.mpf(float(x)) for x in p1]
+
+        def side(p, q):
+            return sum(a if b == 0 else max(a - scale * b, 0) for a, b in zip(p, q))
+
+        return max(side(p0, p1), side(p1, p0))
+
+
 def _pair_masses_mp(epsilon, alpha):
     """(p, q): the dominating pair's eps-likely and unlikely symbol masses."""
     import mpmath

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvdp
+from oracles import hockey_stick_mp, random_pair
 from tvdp import composition, curves
 from tvdp import (
     DiscretePair,
@@ -728,18 +729,25 @@ def test_symmetric_curves_keep_the_steep_half_and_are_their_own_mirror(
     delta=st.sampled_from([0.0, 1e-12, 1e-6]),
     frac=st.floats(0.0, 1.0),
     k=st.integers(1, 10**4),
-    kairouz=st.booleans(),
+    kind=st.sampled_from(["exact", "types", "kairouz"]),
 )
-def test_ledger_curve_profile_returns_every_delta(eps, delta, frac, k, kairouz):
-    if kairouz:
+def test_ledger_curve_profile_returns_every_delta(eps, delta, frac, k, kind):
+    if kind == "kairouz":
         ledger = tvdp.compose_kairouz(eps, delta, k)
     else:
         eta = delta + frac * (tv_feasibility_cap(eps, delta) - delta)
-        ledger = tvdp.compose_exact(PrivacyBudget(eps, delta, eta), k)
+        compose = tvdp.compose_exact if kind == "exact" else tvdp.compose_types_approx
+        ledger = compose(PrivacyBudget(eps, delta, eta), k)
     curve = tvdp.ledger_to_curve(ledger)
     for e in ledger.entries:
         if e.delta > 1e-300:
             assert delta_at_epsilon(curve, e.epsilon) == pytest.approx(e.delta, rel=1e-12)
+    # eta is delta(0): the j = 0 line has slope -1, and both are -expm1 of
+    # its log(1 - delta_0); a Kairouz ledger at odd k lists no j = 0 line
+    if kind == "kairouz":
+        assert curve.tv() == pytest.approx(ledger.composed_eta, rel=4e-15)
+    else:
+        assert curve.tv() == ledger.composed_eta
 
 
 def test_deep_ledger_delta_reads_back():
@@ -763,6 +771,73 @@ def test_budget_curve_returns_its_delta(eps, delta, frac):
     # eta >= delta keeps the DP line on the curve
     b = PrivacyBudget(eps, delta, delta + frac * (tv_feasibility_cap(eps, delta) - delta))
     assert delta_at_epsilon(curve_from_budget(b), eps) == pytest.approx(delta, rel=1e-15)
+
+
+def _oracle_pairs():
+    """(pair, eps_b): random pairs, each also with a share of p0 moved to a
+    symbol that p1 lacks, eps_b their largest |log ratio| on the common
+    support; and dominating pairs, eps_b their budget's epsilon."""
+    rng = np.random.default_rng(28)
+    out = []
+    for size in (2, 3, 5, 8):
+        for full_support in (False, True):
+            p0, p1 = random_pair(rng, size, full_support)
+            eps_b = float(np.max(np.abs(np.log(p0) - np.log(p1))))
+            w = rng.uniform(0.01, 0.3)
+            one_sided = DiscretePair(np.append((1 - w) * p0, w), np.append(p1, 0.0))
+            out.append(pytest.param(DiscretePair(p0, p1), eps_b, id=f"random{len(out)}"))
+            out.append(pytest.param(one_sided, eps_b, id=f"one-sided{len(out)}"))
+    for b in (
+        PrivacyBudget(0.5, 0.0, 0.1),
+        PrivacyBudget(1.0, 1e-5, 0.3),
+        PrivacyBudget(2.0, 0.05, 0.5),
+        PrivacyBudget(3.0, 1e-12, 0.6),
+    ):
+        name = f"dominating({b.epsilon},{b.delta},{b.eta})"
+        out.append(pytest.param(dominating_approx(b), b.epsilon, id=name))
+    out.append(pytest.param(dominating_pure(1.0, ETA_REF), 1.0, id="dominating_pure"))
+    return out
+
+
+@pytest.mark.parametrize("pair,eps_b", _oracle_pairs())
+def test_pair_curve_profile_matches_hockey_stick_oracle(pair, eps_b):
+    # a pair curve is not symmetric: its profile is the larger of its own and
+    # its mirror's, and at eps = inf the larger one-sided mass
+    curve = curve_from_pair(pair)
+    for e in (-eps_b / 2, 0.0, eps_b / 2, eps_b, 2 * eps_b, math.inf):
+        want = float(hockey_stick_mp(pair.p0, pair.p1, e))
+        assert delta_at_epsilon(curve, e) == pytest.approx(want, abs=1e-14), e
+    tv = float(hockey_stick_mp(pair.p0, pair.p1, 0.0))
+    assert curve.tv() == pytest.approx(tv, abs=1e-14)
+
+
+def test_nan_epsilon_is_rejected():
+    b = PrivacyBudget(1.0, 1e-5, 0.3)
+    for c in (curve_from_budget(b), curve_from_pair(dominating_approx(b))):
+        with pytest.raises(ValidationError, match="epsilon"):
+            delta_at_epsilon(c, math.nan)
+
+
+def test_reading_a_symmetric_curve_builds_no_envelope(monkeypatch):
+    b = PrivacyBudget(1.0, 1e-6, 0.3)
+    config = tvdp.SgdConfig(600, 100, 1.0, 0.6, (0.5, 1.0, 2.0))
+    flagged = [
+        curve_from_budget(b),
+        tvdp.ledger_to_curve(tvdp.compose_exact(b, 50)),
+        tvdp.sgd_region(config),
+    ]
+    epsilons = (0.0, 0.3, 1.0, 2.5, 40.0, math.inf)
+
+    def read(c):
+        return [delta_at_epsilon(c, e) for e in epsilons], c.tv(), check_budget(c, b)
+
+    before = [read(c) for c in flagged]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile read built an envelope")
+
+    monkeypatch.setattr(curves, "_upper_envelope", refuse)
+    assert [read(c) for c in flagged] == before
 
 
 def test_symmetry_flag_marks_the_curves_built_as_mirror_images():
