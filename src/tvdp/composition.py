@@ -121,8 +121,18 @@ def _kairouz_budget(epsilon: float, delta: float, k: int) -> PrivacyBudget:
     return budget
 
 
-def _level_log_masses(k: int, eps: float, alpha: float) -> np.ndarray:
-    """log W(m) at index m + k: the mass under p0 of the k-fold dominating
+# Rows with 0 < alpha < 1 from which the ratio recurrence steps all of them
+# at once, two numpy calls per step, instead of one Python-float loop per
+# row.  Medians on a 2-core x86 host at k = 879, row by row against at
+# once: 2 rows 0.22 vs 0.74 ms, 7 rows 0.79 vs 0.83 ms, 10 rows 1.18 vs
+# 0.88 ms and 30 rows 3.54 vs 1.32 ms; at k = 200 and k = 3516 the two also
+# meet at 7 to 10 rows.
+_STEP_ROWS_TOGETHER = 10
+
+
+def _level_log_masses(k: int, eps, alpha) -> np.ndarray:
+    """log W(m) at column m + k, one row per budget with epsilon eps[i] and
+    dominating alpha alpha[i]: the mass under p0 of the k-fold dominating
     pair's privacy-loss level m*eps.
 
     Each step draws the eps-likely symbol (probability p), the unlikely one
@@ -133,51 +143,98 @@ def _level_log_masses(k: int, eps: float, alpha: float) -> np.ndarray:
     Differentiating the power gives
         (n+1) e_{n+1} = beta (k-n) e_n + (2k-n+1) e_{n-1},
     whose terms are all positive for n < k.  So each ratio e_{n+1}/e_n
-    follows from the one before with nothing cancelling, in one O(k) loop,
-    and a long-double sum of their logs gives log e_n up to n = k; symmetry
-    gives the rest.  The ratios stay in range for any alpha > 0 because
-    e_n is scaled by beta^n when beta > 1, and otherwise by beta^(n mod 2),
-    since the erasure count has the parity of n.  At alpha = 0 only even n
-    carry mass, e_{2l} = C(k, l), whose ratios (k-l)/(l+1) need no loop.
+    follows from the one before with nothing cancelling, in one O(k)
+    recurrence (``_ratio_terms``), and a long-double sum of their logs gives
+    log e_n up to n = k; symmetry gives the rest.  The rows with
+    0 < alpha < 1 step the recurrence together once there are at least
+    ``_STEP_ROWS_TOGETHER`` of them, and one at a time otherwise; both do
+    the same double operations in the same order.  At alpha = 0 only even
+    n carry mass, e_{2l} = C(k, l), whose ratios (k-l)/(l+1) need no loop
+    and whose log table all such rows share.  At alpha >= 1 all the mass
+    sits at m = 0.  The long-double sums run one row at a time.
     """
-    log_w = np.full(2 * k + 1, -np.inf)
-    if alpha >= 1.0:
-        log_w[k] = 0.0
-        return log_w
+    log_w = np.full((len(eps), 2 * k + 1), -np.inf)
     ld = np.longdouble
-    log_q = np.log1p(-ld(alpha)) - np.logaddexp(ld(0.0), ld(eps))
-    if alpha == 0.0:  # kept apart: long-double arithmetic on -inf is slow
-        l = np.arange(k)
-        log_e = np.cumsum(np.log(np.append(1.0, (k - l) / (l + 1.0))), dtype=ld)
-        log_w[::2] = (log_e + k * log_q + np.arange(k + 1) * ld(eps)).astype(float)
-        return log_w
-    log_e = _scaled_ratio_logs(k, eps, alpha)
-    offset = k * log_q + np.arange(2 * k + 1) * (ld(eps) / 2)
-    return (np.concatenate((log_e, log_e[-2::-1])) + offset).astype(float)
+    log_betas = [_log_beta(e, a) for e, a in zip(eps, alpha) if 0.0 < a < 1.0]
+    if len(log_betas) >= _STEP_ROWS_TOGETHER:
+        log_ratios = iter(_stepped_log_ratios(k, log_betas).T)
+    else:
+        log_ratios = (_row_log_ratios(*_ratio_terms(k, b)) for b in log_betas)
+    log_scales = (_log_scale(k, b) for b in log_betas)
+    binomial = None
+    for row, e, a in zip(log_w, eps, alpha):
+        if a >= 1.0:
+            row[k] = 0.0
+            continue
+        log_q = np.log1p(-ld(a)) - np.logaddexp(ld(0.0), ld(e))
+        if a == 0.0:  # kept apart: long-double arithmetic on -inf is slow
+            if binomial is None:
+                l = np.arange(k)
+                binomial = np.cumsum(
+                    np.log(np.append(1.0, (k - l) / (l + 1.0))), dtype=ld
+                )
+            row[::2] = binomial + k * log_q + np.arange(k + 1) * ld(e)
+            continue
+        log_e = np.cumsum(next(log_ratios), dtype=ld) + next(log_scales)
+        offset = k * log_q + np.arange(2 * k + 1) * (ld(e) / 2)
+        row[:] = np.concatenate((log_e, log_e[-2::-1])) + offset
+    return log_w
 
 
-def _scaled_ratio_logs(k: int, eps: float, alpha: float) -> np.ndarray:
-    """log e_n for n = 0..k at 0 < alpha < 1, in long double, by the ratio
-    recurrence on e_n scaled by beta^n (beta > 1) or beta^(n mod 2)."""
+def _log_beta(eps: float, alpha: float):
+    """log beta = log(alpha / sqrt(pq)) in long double, at 0 < alpha < 1."""
     ld = np.longdouble
-    log_beta = (
+    return (
         np.log(ld(alpha)) - np.log1p(-ld(alpha)) + np.logaddexp(ld(eps) / 2, -ld(eps) / 2)
     )
-    # the scaled e_n have ratios r_{n+1} = lift_n + fall_n / r_n
+
+
+def _ratio_terms(k: int, log_beta):
+    """(lift, fall): the scaled e_n, e_n / beta^n when beta > 1 and
+    e_n / beta^(n mod 2) otherwise, have ratios r_{n+1} = lift_n + fall_n / r_n
+    for n = 0..k-1 from r_0 = inf (e_{-1} = 0).  The scaling keeps the
+    ratios in range for any alpha > 0; ``_log_scale`` undoes it."""
     n = np.arange(k)
     if log_beta <= 0.0:
         lift = np.where(n % 2, float(np.exp(2 * log_beta)), 1.0) * (k - n) / (n + 1)
         fall = (2 * k + 1.0 - n) / (n + 1)
-        log_scale = np.where(np.arange(k + 1) % 2, log_beta, 0.0)
     else:
         lift = (k - n) / (n + 1.0)
         fall = float(np.exp(-2 * log_beta)) * (2 * k + 1.0 - n) / (n + 1)
-        log_scale = np.arange(k + 1) * log_beta
-    ratio = math.inf  # e_{-1} = 0
+    return lift, fall
+
+
+def _log_scale(k: int, log_beta) -> np.ndarray:
+    """log of the scaling of e_n that ``_ratio_terms`` divides out, n = 0..k."""
+    if log_beta <= 0.0:
+        return np.where(np.arange(k + 1) % 2, log_beta, 0.0)
+    return np.arange(k + 1) * log_beta
+
+
+def _row_log_ratios(lift: np.ndarray, fall: np.ndarray) -> np.ndarray:
+    """log 1 and log r_1..r_k of one row, by the recurrence in Python floats."""
+    ratio = math.inf
     ratios = [
         ratio := up + down / ratio for up, down in zip(lift.tolist(), fall.tolist())
     ]
-    return np.cumsum(np.log([1.0] + ratios), dtype=ld) + log_scale
+    return np.log([1.0] + ratios)
+
+
+def _stepped_log_ratios(k: int, log_betas) -> np.ndarray:
+    """``_row_log_ratios`` of each row's ``_ratio_terms``, one column per
+    row: each step of the recurrence is two numpy calls over the row vector
+    of ratios.  Step n + 1 starts out holding lift_n and adds fall_n / r_n,
+    which is the same double sum."""
+    ratios = np.empty((k + 1, len(log_betas)))
+    fall = np.empty((k, len(log_betas)))
+    for i, log_beta in enumerate(log_betas):
+        ratios[1:, i], fall[:, i] = _ratio_terms(k, log_beta)
+    ratio = ratios[0]
+    ratio[:] = math.inf
+    for down, step in zip(fall, ratios[1:]):
+        ratio = np.add(step, np.divide(down, ratio, down), step)
+    ratios[0] = 1.0
+    return np.log(ratios, out=ratios)
 
 
 def _log_tail_sums(log_w: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -243,15 +300,14 @@ def _grid_columns(k: int, eps, delta, alpha, levels: slice = slice(None)):
     it precise; the 1 - (1-delta)^k (1-delta_j) wrapper then gives the
     composed value.  clamped_j flags a log(1 - delta_j) that rounded above
     0 and was clipped.  The composed eta is delta_0, which is computed even
-    where j = 0 is not among the levels.  The level masses come one budget
-    at a time; the tail sums, the wrapper and the delta check run on all
-    rows at once.  Callers admit each budget first (``_composable_alpha`` or
-    ``_kairouz_budget``, which check k*eps), budget by budget.
+    where j = 0 is not among the levels.  The level masses of all rows come
+    from one ``_level_log_masses`` call, and the tail sums, the wrapper and
+    the delta check run on all rows at once.  Callers admit each budget
+    first (``_composable_alpha`` or ``_kairouz_budget``, which check
+    k*eps), budget by budget.
     """
     eps = np.asarray(eps, dtype=float)
-    log_w = np.empty((eps.size, 2 * k + 1))
-    for row, e, a in zip(log_w, eps.tolist(), alpha):
-        row[:] = _level_log_masses(k, e, a)
+    log_w = _level_log_masses(k, eps.tolist(), alpha)
     inner = _log_tail_sums(log_w, eps)
     del log_w
     log_wrap = [[k * math.log1p(-d) if d < 1.0 else -math.inf] for d in delta]

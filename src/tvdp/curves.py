@@ -130,16 +130,17 @@ class TradeoffCurve:
     on first access.  The computations below run on the log-coordinate
     form.  ``_symmetric`` flags a curve built as the mirror image of its
     steep half (see the module docstring); curves given by their vertices
-    are not flagged.  Instances are immutable; all operations return new
-    curves.
+    are not flagged.  An unflagged curve keeps its mirror in ``_mirror`` once
+    built.  Instances are immutable; all operations return new curves.
     """
 
-    __slots__ = ("_view", "_lt", "_lf", "_lm", "_lb", "_symmetric")
+    __slots__ = ("_view", "_lt", "_lf", "_lm", "_lb", "_symmetric", "_mirror")
 
     def __init__(self, xs, ys, validate: bool = True):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         object.__setattr__(self, "_symmetric", False)
+        object.__setattr__(self, "_mirror", None)
         self._set_view(xs, ys)
         if validate:
             self._validate()
@@ -168,6 +169,7 @@ class TradeoffCurve:
             self._set(name, arr)
         object.__setattr__(self, "_view", None)
         object.__setattr__(self, "_symmetric", symmetric)
+        object.__setattr__(self, "_mirror", None)
         return self
 
     @property
@@ -259,6 +261,8 @@ class TradeoffCurve:
         """Tightest eta such that t + f(t) >= 1 - eta everywhere: the
         privacy profile at epsilon = 0, where both of its constraints are
         this one (see ``_profile``)."""
+        if _out_of_order(self):
+            return _vertex_profile(self._lt, self._lf, 0.0)
         return _profile(self, 0.0)
 
     def check_budget(self, budget: PrivacyBudget, tol: float = GEOM_TOL) -> bool:
@@ -274,13 +278,17 @@ class TradeoffCurve:
         The line f = b - m t reflects to f = b/m - t/m.  Flat segments
         become vertical and drop out; the envelope's floor f = 0 stands in
         for a vertical drop at t = 0.  A symmetric curve is its own mirror
-        and is returned as it is.
+        and is returned as it is; any other curve builds its mirror on the
+        first call and keeps it.
         """
         if self._symmetric:
             return self
-        steep = np.isfinite(self._lm)
-        lm = self._lm[steep]
-        return _upper_envelope(-lm, self._lb[steep] - lm)
+        if self._mirror is None:
+            steep = np.isfinite(self._lm)
+            lm = self._lm[steep]
+            mirror = _upper_envelope(-lm, self._lb[steep] - lm)
+            object.__setattr__(self, "_mirror", mirror)
+        return self._mirror
 
     def as_dict(self) -> dict:
         return {"vertices": [[x, y] for x, y in self.vertices]}
@@ -640,10 +648,17 @@ def delta_at_epsilon(curve: TradeoffCurve, epsilon: float) -> float:
 
     The first is the curve's ``_profile`` and the second its mirror's; a
     symmetric curve is its own mirror.  At epsilon = inf this is the larger
-    one-sided mass, 1 - f(0) of the curve or of its mirror.
+    one-sided mass, 1 - f(0) of the curve or of its mirror.  A curve whose
+    lines are out of slope order (``_out_of_order``) reads both from its
+    vertices instead.
     """
     if math.isnan(epsilon):
         raise ValidationError("epsilon must not be NaN")
+    if _out_of_order(curve):
+        return max(
+            _vertex_profile(curve._lt, curve._lf, epsilon),
+            _vertex_profile(curve._lf, curve._lt, epsilon),
+        )
     delta = _profile(curve, epsilon)
     mirror = curve.mirror()
     if mirror is not curve:
@@ -684,3 +699,22 @@ def _profile(curve: TradeoffCurve, epsilon: float) -> float:
         if delta >= 0.5:
             delta = 1.0 - (math.exp(log_lam + lb[s]) + math.exp(log_rest + lb[s + 1]))
     return max(0.0, delta)  # and not -0.0
+
+
+def _out_of_order(curve: TradeoffCurve) -> bool:
+    """Whether the curve's lines are not sorted steepest first, which
+    ``_profile`` needs.  Only a curve given by its vertices can be: the
+    constructor accepts curves that are concave by up to ``GEOM_TOL`` times
+    the slope, and the tangent that ``_profile`` reads misses such a kink."""
+    return not curve._symmetric and bool((curve._lm[1:] > curve._lm[:-1]).any())
+
+
+def _vertex_profile(lt: np.ndarray, lf: np.ndarray, epsilon: float) -> float:
+    """1 - min over the vertices (e^lt, e^lf) of f + e^eps t, the least delta
+    with f + e^eps t >= 1 - delta on any piecewise-linear curve, convex or
+    not; swapping lt and lf gives the mirror's.  t = 0 adds nothing to the
+    sum at any epsilon."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf at t = 0
+        tilted = np.exp(epsilon + lt)
+    tilted[lt == -np.inf] = 0.0
+    return max(0.0, 1.0 - float((np.exp(lf) + tilted).min()))

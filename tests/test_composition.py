@@ -428,15 +428,56 @@ def test_curve_tv_matches_mpmath_delta0(eps, k):
     assert abs(got - deltas[0]) <= 1e-14 * deltas[0]
 
 
-# _log_tail_sums runs the sum of 1 - delta_j only over the leading columns
-# where some row reads it.  The function below is a regression reference: a
-# copy of the earlier builder, which ran both sums over every column and
-# picked one per entry.
+# Regression references: copies of earlier code that the tests below pin the
+# kernel to, bit for bit.  _reference_level_log_masses and
+# _reference_scaled_ratio_logs are the level masses of one budget at a time,
+# with the ratio recurrence in Python floats.  _reference_grid_columns is the
+# earlier builder, which took the level masses row by row and ran both tail
+# sums over every column, picking one per entry; _log_tail_sums runs the sum
+# of 1 - delta_j only over the leading columns where some row reads it.
+
+
+def _reference_level_log_masses(k, eps, alpha):
+    log_w = np.full(2 * k + 1, -np.inf)
+    if alpha >= 1.0:
+        log_w[k] = 0.0
+        return log_w
+    ld = np.longdouble
+    log_q = np.log1p(-ld(alpha)) - np.logaddexp(ld(0.0), ld(eps))
+    if alpha == 0.0:
+        l = np.arange(k)
+        log_e = np.cumsum(np.log(np.append(1.0, (k - l) / (l + 1.0))), dtype=ld)
+        log_w[::2] = (log_e + k * log_q + np.arange(k + 1) * ld(eps)).astype(float)
+        return log_w
+    log_e = _reference_scaled_ratio_logs(k, eps, alpha)
+    offset = k * log_q + np.arange(2 * k + 1) * (ld(eps) / 2)
+    return (np.concatenate((log_e, log_e[-2::-1])) + offset).astype(float)
+
+
+def _reference_scaled_ratio_logs(k, eps, alpha):
+    ld = np.longdouble
+    log_beta = (
+        np.log(ld(alpha)) - np.log1p(-ld(alpha)) + np.logaddexp(ld(eps) / 2, -ld(eps) / 2)
+    )
+    n = np.arange(k)
+    if log_beta <= 0.0:
+        lift = np.where(n % 2, float(np.exp(2 * log_beta)), 1.0) * (k - n) / (n + 1)
+        fall = (2 * k + 1.0 - n) / (n + 1)
+        log_scale = np.where(np.arange(k + 1) % 2, log_beta, 0.0)
+    else:
+        lift = (k - n) / (n + 1.0)
+        fall = float(np.exp(-2 * log_beta)) * (2 * k + 1.0 - n) / (n + 1)
+        log_scale = np.arange(k + 1) * log_beta
+    ratio = math.inf
+    ratios = [
+        ratio := up + down / ratio for up, down in zip(lift.tolist(), fall.tolist())
+    ]
+    return np.cumsum(np.log([1.0] + ratios), dtype=ld) + log_scale
 
 
 def _reference_grid_columns(k, eps, delta, alpha, levels=slice(None)):
     eps = np.asarray(eps, dtype=float)
-    log_w = np.array([composition._level_log_masses(k, e, a) for e, a in zip(eps, alpha)])
+    log_w = np.array([_reference_level_log_masses(k, e, a) for e, a in zip(eps, alpha)])
     col = eps[:, None]
     tilt = np.arange(1, k + 1) * col
     above = np.full((eps.size, k + 1), -np.inf)
@@ -492,3 +533,134 @@ def test_grid_columns_match_full_width_tail_sums(rows, k, kairouz):
     for a, b in zip(got[:3], want[:3]):
         assert a.tobytes() == b.tobytes()
     assert [x.hex() for x in got[3]] == [x.hex() for x in want[3]]
+
+
+# Rows for the level-mass kernel: budgets with 0 < alpha < 1, on both sides
+# of the row count from which their ratio recurrence runs for all rows
+# together, mixed in any order with rows at alpha = 0 and alpha = 1.  An
+# alpha of 0.05 at small eps gives beta < 1 and one of 0.5 gives beta > 1.
+_TOGETHER = composition._STEP_ROWS_TOGETHER
+_EPS = st.floats(1e-9, 4.0)
+
+
+@st.composite
+def _kernel_rows(draw):
+    mixed = draw(
+        st.one_of(st.integers(1, _TOGETHER - 1), st.integers(_TOGETHER, 2 * _TOGETHER))
+    )
+    inner = st.one_of(
+        st.sampled_from([5e-324, 1e-300, 0.05, 0.5, 1.0 - 1e-9]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    rows = draw(st.lists(st.tuples(_EPS, inner), min_size=mixed, max_size=mixed))
+    rows += draw(st.lists(st.tuples(_EPS, st.sampled_from([0.0, 1.0])), max_size=4))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_kernel_rows(), k=st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+def test_level_masses_match_row_by_row_reference(rows, k):
+    eps, alpha = [e for e, _ in rows], [a for _, a in rows]
+    log_w = composition._level_log_masses(k, eps, alpha)
+    assert log_w.shape == (len(rows), 2 * k + 1)
+    for row, e, a in zip(log_w, eps, alpha):
+        assert row.tobytes() == _reference_level_log_masses(k, e, a).tobytes()
+
+
+def test_grid_columns_takes_all_level_masses_in_one_call(monkeypatch):
+    kernel = composition._level_log_masses
+    calls = []
+
+    def counted(k, eps, alpha):
+        calls.append(len(eps))
+        return kernel(k, eps, alpha)
+
+    monkeypatch.setattr(composition, "_level_log_masses", counted)
+    for n in (1, _TOGETHER - 1, 3 * _TOGETHER):
+        alpha = [0.0, 1.0] + [0.3] * (n - 2) if n > 2 else [0.3] * n
+        calls.clear()
+        _grid_columns(200, [0.5] * n, [0.0] * n, alpha)
+        assert calls == [n]
+
+
+# Identities of the k-fold dominating pair that hold at any k (ROADMAP item
+# 9), checked on rows from both recurrence paths.  They test the kernel
+# against itself, so they reach the deep tail where no oracle does.  The
+# error bound is that of TestPrecisionAgainstMpmath, 4e-16 k (1 + ln k),
+# relative to 1 + |log W(m)| for the level masses; the sums and convolutions
+# that check them run in long double.
+
+
+def _log_total(log_w_row):
+    """log sum_m W(m), in long double."""
+    finite = log_w_row[np.isfinite(log_w_row)].astype(np.longdouble)
+    top = finite.max()
+    return float(top + np.log(np.sum(np.exp(finite - top))))
+
+
+def _log_convolve(a, b):
+    """log of the convolution of e^a and e^b, in long double."""
+    out = np.full(a.size + b.size - 1, -np.inf, dtype=np.longdouble)
+    b = b.astype(np.longdouble)
+    for i in np.flatnonzero(np.isfinite(a)).tolist():
+        np.logaddexp(out[i : i + b.size], a[i] + b, out=out[i : i + b.size])
+    return out
+
+
+def _error_bound(k):
+    return 4e-16 * k * (1.0 + math.log(k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=_kernel_rows(), k=st.one_of(st.integers(1, 40), st.integers(1, 10**4)))
+def test_level_masses_sum_to_one(rows, k):
+    eps, alpha = [e for e, _ in rows], [a for _, a in rows]
+    for row in composition._level_log_masses(k, eps, alpha):
+        assert abs(_log_total(row)) <= _error_bound(k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=_kernel_rows(), k1=st.integers(1, 300), k2=st.integers(1, 300))
+def test_level_masses_compose_as_a_convolution(rows, k1, k2):
+    # W_{k1 + k2} = W_{k1} * W_{k2} over the lattice of levels
+    eps, alpha = [e for e, _ in rows], [a for _, a in rows]
+    k = k1 + k2
+    whole = composition._level_log_masses(k, eps, alpha)
+    parts = zip(
+        composition._level_log_masses(k1, eps, alpha),
+        composition._level_log_masses(k2, eps, alpha),
+    )
+    for row, (first, second) in zip(whole, parts):
+        conv = _log_convolve(first, second)
+        finite = np.isfinite(row)
+        assert np.array_equal(np.isfinite(conv), finite)
+        gap = np.abs(conv[finite] - row[finite]).astype(float)
+        assert (gap <= _error_bound(k) * (1.0 + np.abs(row[finite]))).all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    eps=st.floats(1e-3, 4.0),
+    delta=st.sampled_from([0.0, 1e-12, 1e-3]),
+    fracs=st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_TOGETHER - 1),
+        st.lists(st.floats(0.0, 1.0), min_size=_TOGETHER, max_size=2 * _TOGETHER),
+    ),
+    k=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+    more=st.integers(1, 50),
+)
+def test_ledger_deltas_grow_with_k_and_eta(eps, delta, fracs, k, more):
+    # delta_j at fixed j does not decrease with k, nor with eta at fixed
+    # (eps, delta); the rows run in increasing eta
+    cap = tv_feasibility_cap(eps, delta)
+    budgets = [PrivacyBudget(eps, delta, delta + f * (cap - delta)) for f in sorted(fracs)]
+    n = len(budgets)
+    deltas = []
+    for steps in (k, k + more):
+        alpha = [composition._composable_alpha(b, steps) for b in budgets]
+        _, log_keep, _, _ = _grid_columns(steps, [eps] * n, [delta] * n, alpha)
+        deltas.append(-np.expm1(log_keep[:, : k + 1]))
+    fewer, longer = deltas
+    slack = 2 * _error_bound(k + more)
+    assert (longer >= fewer * (1.0 - slack) - 1e-300).all()
+    assert (fewer[1:] >= fewer[:-1] * (1.0 - slack) - 1e-300).all()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -838,6 +839,47 @@ def test_reading_a_symmetric_curve_builds_no_envelope(monkeypatch):
 
     monkeypatch.setattr(curves, "_upper_envelope", refuse)
     assert [read(c) for c in flagged] == before
+
+
+def test_reading_a_pair_curve_builds_its_mirror_once(monkeypatch):
+    pair = dominating_approx(PrivacyBudget(1.0, 1e-5, 0.3))
+    curve = curve_from_pair(pair)
+    epsilons = np.linspace(-1.0, 3.0, 21).tolist() + [math.inf]
+    fresh = [delta_at_epsilon(curve_from_pair(pair), e) for e in epsilons]
+    envelope = curves._upper_envelope
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return envelope(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "_upper_envelope", counted)
+    for _ in range(3):
+        assert [delta_at_epsilon(curve, e) for e in epsilons] == fresh
+    assert len(built) == 1
+    assert curve.mirror() is curve.mirror()
+
+
+def test_near_concave_curve_reads_delta_from_its_vertices():
+    # slopes -1, -(1 + 1e-10), -0.75: concave within GEOM_TOL, so the chord
+    # lines are out of slope order and the tangent between them misses the
+    # kink; the least delta is attained at a vertex of the curve or of its
+    # mirror
+    xs, ys = [0.0, 0.4, 0.6, 1.0], [0.9, 0.5, 0.5 - 0.2 * (1 + 1e-10), 0.0]
+    c = TradeoffCurve(xs, ys)
+    with mpmath.workdps(40):
+        for e in np.linspace(-1e-10, 2e-10, 31).tolist():
+            scale = mpmath.exp(e)
+            want = max(
+                max(1 - mpmath.mpf(f) - scale * t, 1 - mpmath.mpf(t) - scale * f)
+                for t, f in zip(xs, ys)
+            )
+            got = delta_at_epsilon(c, e)
+            assert got >= 1.0 - 0.9, e  # the 0.1 of f(0) = 0.9 in doubles
+            assert abs(got - want) <= 4e-16, e
+        want = 1 - min(mpmath.mpf(t) + f for t, f in zip(xs, ys))
+        assert abs(c.tv() - want) <= 4e-16
+    assert delta_at_epsilon(c, math.inf) == 1.0 - 0.9
 
 
 def test_symmetry_flag_marks_the_curves_built_as_mirror_images():
