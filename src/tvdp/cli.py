@@ -67,14 +67,12 @@ def _eps_from_args(args) -> float:
     return cap
 
 
-def _round12(value: float):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
-    return value
+def _round12(value: float) -> float | str:
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if math.isnan(value):
+        return "nan"
+    return float(f"{value:.12g}")
 
 
 def _jsonable(obj):
@@ -82,12 +80,10 @@ def _jsonable(obj):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(val) for val in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer, int, bool)) or obj is None or isinstance(obj, str):
-        return obj if not isinstance(obj, np.integer) else int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(val) for val in obj.tolist()]
+    if isinstance(obj, float):  # numpy's float64 included
+        return _round12(obj)
+    if isinstance(obj, (int, str)) or obj is None:  # bool is an int
+        return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -272,13 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(p, eta_required=False):
+    def add_budget_flags(p):
         p.add_argument("--eps", type=float, default=None, help="epsilon in nats (default: TVDP_MAX_EPS cap for pure-TV regions)")
         p.add_argument("--delta", type=float, default=0.0, help="approximate-DP slack delta")
-        if eta_required:
-            p.add_argument("--eta", type=float, required=True, help="total variation bound")
-        else:
-            p.add_argument("--eta", type=float, default=None, help="total variation bound (default: feasibility maximum)")
+        p.add_argument("--eta", type=float, default=None, help="total variation bound (default: feasibility maximum)")
 
     p_region = sub.add_parser("region", help="tradeoff curve of a (eps, delta, eta) budget")
     add_budget_flags(p_region)
@@ -376,6 +369,9 @@ def dispatch(argv: list[str]) -> int:
         return args.func(args)
     except (ValidationError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'the input is too large'}\n")
         return 2
 
 

@@ -14,6 +14,7 @@ pair) cross-checks it on its own code path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ from .mechanisms import DominatingSpec
 
 _DIRECT_LIMIT = 10**7
 _TYPED_LIMIT = 10**4
+
+# Largest step count whose row of 2 * steps + 1 level masses (doubles) an
+# array can index: its size in bytes must fit a signed machine word.
+_MAX_STEPS = (sys.maxsize // 8 - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,14 @@ def _check_deltas(deltas: np.ndarray) -> None:
 
 
 def _check_k(k) -> int:
-    if not float(k).is_integer() or k < 1:
+    """k as an int: a whole number from 1 up to ``_MAX_STEPS``."""
+    if not (isinstance(k, int) or float(k).is_integer()) or k < 1:
         raise ValueError("k must be an integer >= 1")
+    if k > _MAX_STEPS:
+        raise ValueError(
+            f"k must be at most {_MAX_STEPS}, the most steps whose level masses "
+            "an array can hold"
+        )
     return int(k)
 
 
@@ -383,12 +394,16 @@ def _kairouz_region(epsilons, deltas, k: int) -> TradeoffCurve:
     return _region(k, budgets, [0.0] * len(budgets), _kairouz_levels(k))[0]
 
 
-def _entries_to_curve(entries) -> TradeoffCurve:
-    """Envelope of the DP lines f = (1-delta_j) - e^eps_j t and their
-    mirrors f = e^-eps_j (1-delta_j-t) of ledger entries, whose epsilons
-    must be >= 0: a symmetric curve, built from the DP lines alone and
-    mirrored (``curves._mirrored_curve``).  The log form keeps intercepts
-    alive once delta_j rounds to 1."""
+def ledger_to_curve(ledger: CompositionLedger) -> TradeoffCurve:
+    """Envelope of the two half-plane constraints of every ledger entry.
+
+    Those are the DP lines f = (1-delta_j) - e^eps_j t and their mirrors
+    f = e^-eps_j (1-delta_j-t), whose epsilons must be >= 0: a symmetric
+    curve, built from the DP lines alone and mirrored
+    (``curves._mirrored_curve``).  The log form keeps intercepts alive once
+    delta_j rounds to 1.
+    """
+    entries = ledger.entries
     eps_j = np.array([e.epsilon for e in entries], dtype=float)
     if not (eps_j >= 0.0).all():
         raise ValidationError("ledger entry epsilons must be >= 0")
@@ -399,11 +414,6 @@ def _entries_to_curve(entries) -> TradeoffCurve:
         for e in entries
     ]
     return _upper_envelope(eps_j, np.array(log_keep), symmetric=True)
-
-
-def ledger_to_curve(ledger: CompositionLedger) -> TradeoffCurve:
-    """Envelope of the two half-plane constraints of every ledger entry."""
-    return _entries_to_curve(ledger.entries)
 
 
 def composed_tv(budget: PrivacyBudget, k: int) -> float:
@@ -505,14 +515,20 @@ def _oracle_typed(p0, p1, k: int) -> TradeoffCurve:
     mass1 = list(w1)
     ratios = list(lr)
     if d0 > 0.0:
-        mass0.append(-math.expm1(k * math.log1p(-d0)))
+        mass0.append(_k_fold_one_sided(d0, k))
         mass1.append(0.0)
         ratios.append(math.inf)
     if d1 > 0.0:
         mass0.append(0.0)
-        mass1.append(-math.expm1(k * math.log1p(-d1)))
+        mass1.append(_k_fold_one_sided(d1, k))
         ratios.append(-math.inf)
     return _roc_from_atoms(mass0, mass1, ratios)
+
+
+def _k_fold_one_sided(d: float, k: int) -> float:
+    """1 - (1 - d)^k: the mass, in the k-fold product, of the outcomes that
+    the other side lacks, given its one-sided mass d in one draw."""
+    return -math.expm1(k * math.log1p(-d)) if d < 1.0 else 1.0
 
 
 def _oracle_direct(p0, p1, k: int) -> TradeoffCurve:

@@ -26,7 +26,9 @@ and built from its steep half alone: the envelope of the lines with slope
 ``_mirrored_curve``).  Its flat half is then the exact mirror of the steep
 half.  The privacy profile of every curve, and with it the total
 variation, is read from its supporting lines (see ``_profile``); a curve
-that is not symmetric also reads its mirror's.
+that is not symmetric also reads its mirror's.  A curve given by its
+vertices keeps the lower convex hull of those vertices as its log form, so
+its lines too are sorted steepest first, as that reader needs.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ class TradeoffCurve:
     the linear vertex view (see the module docstring): a curve built from
     vertices keeps them, and a curve built from its log form derives them
     on first access.  The computations below run on the log-coordinate
-    form.  ``_symmetric`` flags a curve built as the mirror image of its
+    form.  The constructor accepts vertices that bend the wrong way by up to
+    ``GEOM_TOL`` times the slope; the log form of such a curve is the lower
+    convex hull of its vertices, while the view keeps them all.
+    ``_symmetric`` flags a curve built as the mirror image of its
     steep half (see the module docstring); curves given by their vertices
     are not flagged.  An unflagged curve keeps its mirror in ``_mirror`` once
     built.  Instances are immutable; all operations return new curves.
@@ -144,9 +149,20 @@ class TradeoffCurve:
         self._set_view(xs, ys)
         if validate:
             self._validate()
-        lt, lf = _log(xs), _log(np.clip(ys, 0.0, 1.0))
-        # Segment lines from the chords; ulp-level rises count as flat.
-        lm = _log(np.maximum(ys[:-1] - ys[1:], 0.0)) - _log(np.diff(xs))
+        with np.errstate(divide="ignore"):
+            lt, lf = np.log(xs), np.log(np.clip(ys, 0.0, 1.0))
+            # A vertex where the polyline bends the wrong way lies above the
+            # chord of its neighbours and goes, until none is left: the log
+            # form is the lower convex hull of the vertices.
+            while True:
+                # Segment lines from the chords; ulp-level rises count as flat.
+                lm = np.log(np.maximum(ys[:-1] - ys[1:], 0.0)) - np.log(np.diff(xs))
+                bent = lm[1:] > lm[:-1]
+                if not np.count_nonzero(bent):
+                    break
+                keep = np.ones(xs.size, dtype=bool)
+                keep[1:-1] = ~bent
+                xs, ys, lt, lf = xs[keep], ys[keep], lt[keep], lf[keep]
         lb = np.logaddexp(lf[:-1], lm + lt[:-1])
         for name, arr in (("_lt", lt), ("_lf", lf), ("_lm", lm), ("_lb", lb)):
             self._set(name, arr)
@@ -261,8 +277,6 @@ class TradeoffCurve:
         """Tightest eta such that t + f(t) >= 1 - eta everywhere: the
         privacy profile at epsilon = 0, where both of its constraints are
         this one (see ``_profile``)."""
-        if _out_of_order(self):
-            return _vertex_profile(self._lt, self._lf, 0.0)
         return _profile(self, 0.0)
 
     def check_budget(self, budget: PrivacyBudget, tol: float = GEOM_TOL) -> bool:
@@ -648,17 +662,13 @@ def delta_at_epsilon(curve: TradeoffCurve, epsilon: float) -> float:
 
     The first is the curve's ``_profile`` and the second its mirror's; a
     symmetric curve is its own mirror.  At epsilon = inf this is the larger
-    one-sided mass, 1 - f(0) of the curve or of its mirror.  A curve whose
-    lines are out of slope order (``_out_of_order``) reads both from its
-    vertices instead.
+    one-sided mass, 1 - f(0) of the curve or of its mirror.  Both sums have
+    positive coefficients, so on a curve given by its vertices their
+    minimum is reached at a vertex of the lower convex hull, the curve's
+    log form, and reading that hull gives the least delta over the vertices.
     """
     if math.isnan(epsilon):
         raise ValidationError("epsilon must not be NaN")
-    if _out_of_order(curve):
-        return max(
-            _vertex_profile(curve._lt, curve._lf, epsilon),
-            _vertex_profile(curve._lf, curve._lt, epsilon),
-        )
     delta = _profile(curve, epsilon)
     mirror = curve.mirror()
     if mirror is not curve:
@@ -699,22 +709,3 @@ def _profile(curve: TradeoffCurve, epsilon: float) -> float:
         if delta >= 0.5:
             delta = 1.0 - (math.exp(log_lam + lb[s]) + math.exp(log_rest + lb[s + 1]))
     return max(0.0, delta)  # and not -0.0
-
-
-def _out_of_order(curve: TradeoffCurve) -> bool:
-    """Whether the curve's lines are not sorted steepest first, which
-    ``_profile`` needs.  Only a curve given by its vertices can be: the
-    constructor accepts curves that are concave by up to ``GEOM_TOL`` times
-    the slope, and the tangent that ``_profile`` reads misses such a kink."""
-    return not curve._symmetric and bool((curve._lm[1:] > curve._lm[:-1]).any())
-
-
-def _vertex_profile(lt: np.ndarray, lf: np.ndarray, epsilon: float) -> float:
-    """1 - min over the vertices (e^lt, e^lf) of f + e^eps t, the least delta
-    with f + e^eps t >= 1 - delta on any piecewise-linear curve, convex or
-    not; swapping lt and lf gives the mirror's.  t = 0 adds nothing to the
-    sum at any epsilon."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf at t = 0
-        tilted = np.exp(epsilon + lt)
-    tilted[lt == -np.inf] = 0.0
-    return max(0.0, 1.0 - float((np.exp(lf) + tilted).min()))

@@ -16,10 +16,9 @@ sampling rate is out of scope here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .composition import _kairouz_region, _types_region
+from .composition import _MAX_STEPS, _kairouz_region, _types_region
 from .curves import (
     PrivacyBudget,
     TradeoffCurve,
@@ -34,10 +33,6 @@ from .mechanisms import gaussian_delta, gaussian_tv
 # External reference point for the same configuration, reported alongside
 # results as an annotation only (never asserted).
 MOMENTS_ACCOUNTANT_REFERENCE = {"epsilon": 1.19, "delta": 1e-5}
-
-# Largest step count whose row of 2 * steps + 1 level masses (doubles) an
-# array can index: its size in bytes must fit a signed machine word.
-_MAX_STEPS = (sys.maxsize // 8 - 1) // 2
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tvdp.cli
 import tvdp.dpsgd
 from tvdp import (
     PrivacyBudget,
@@ -65,6 +66,12 @@ class TestRegion:
         assert out == ""
         assert "eta exceeds delta + (1-delta)(e^eps-1)/(e^eps+1)" in err
         assert err.count("\n") == 1
+
+    def test_pure_tv_region_defaults_to_eps_50(self, capsys, monkeypatch):
+        monkeypatch.delenv("TVDP_MAX_EPS", raising=False)
+        assert run(capsys, "region", "--eta", "0.3") == run(
+            capsys, "region", "--eps", "50", "--eta", "0.3"
+        )
 
     def test_pure_tv_region_uses_eps_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TVDP_MAX_EPS", "30")
@@ -138,6 +145,30 @@ class TestCompose:
     def test_eta_below_delta_exit_2(self, capsys):
         code, _, err = run(capsys, "compose", "--eps", "1", "--delta", "0.2", "--eta", "0.1", "-k", "2")
         assert code == 2 and "eta" in err
+
+    def test_epsilon_zero_needs_eta_equal_to_delta(self, capsys):
+        # eta = delta + 5e-13 is within the budget's 1e-12 feasibility slack
+        code, out, err = run(
+            capsys, "compose", "--eps", "0", "--delta", "0.1", "--eta", repr(0.1 + 5e-13), "-k", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: epsilon = 0 composes only with eta = delta\n"
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 1.46 TiB for an array"), "Unable to allocate 1.46 TiB for an array"),
+            (MemoryError(), "the input is too large"),
+        ],
+    )
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, exc, message):
+        # no real allocation: at -k 100000000000 numpy would ask for 1.46 TiB
+        def compose_exact(*args):
+            raise exc
+
+        monkeypatch.setattr(tvdp.cli, "compose_exact", compose_exact)
+        code, out, err = run(capsys, "compose", "--eps", "1", "--eta", "0.3", "-k", "100000000000")
+        assert (code, out, err) == (2, "", f"error: out of memory: {message}\n")
 
 
 class TestAmplify:
@@ -238,6 +269,26 @@ class TestLdp:
         assert payload["opt_conversion_factor"] == pytest.approx(0.649186, abs=1e-6)
         assert payload["be_ratio_lower_bound"] == pytest.approx(0.063819, abs=1e-6)
 
+    def test_channel_and_pair_from_files(self, capsys, tmp_path):
+        channel = '{"matrix": [[0.6, 0.4], [0.3, 0.7]]}'
+        (tmp_path / "channel.json").write_text(channel, encoding="utf-8")
+        (tmp_path / "pair.json").write_text(PAIR, encoding="utf-8")
+        for argv, inline in (
+            (("ldp", "check", "--channel-file"), ("ldp", "check", "--channel", channel)),
+            (
+                ("ldp", "bemech", "--eps", "1", "--eta", "0.3", "--pair-file"),
+                ("ldp", "bemech", "--eps", "1", "--eta", "0.3", "--pair", PAIR),
+            ),
+        ):
+            name = "channel.json" if "--channel-file" in argv else "pair.json"
+            code, out, err = run(capsys, *argv, str(tmp_path / name))
+            assert (code, err) == (0, "")
+            assert run(capsys, *inline) == (0, out, "")
+            missing = tmp_path / "missing.json"
+            code, out, err = run(capsys, *argv, str(missing))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
     def test_check_requires_channel(self, capsys):
         code, _, err = run(capsys, "ldp", "check")
         assert code == 2 and "channel" in err
@@ -321,6 +372,10 @@ EDGE_ARGV = [
          "--eps-from", "0.5", "--eps-to", "0.6", "--eps-step", "0.1"],
         "epochs",
     ),
+    # a k that does not fit a double, and one past the largest array
+    (["compose", "--eta", "0.3", "--eps", "1", "-k", str(10**399)], "k must be at most"),
+    (["clt", "--eta", "0.3", "--eps", "1", "-k", str(10**399)], "k must be at most"),
+    (["compose", "-k", "100000000000000000000", "--eps", "1", "--eta", "0.3"], "k must be at most"),
 ]
 
 

@@ -212,6 +212,42 @@ class TestOracleCompose:
             oracle = oracle_compose(dominating_pure(1.0, ETA_REF), k)
             assert composed_tv(BUDGET_REF, k) == pytest.approx(tv_of_curve(oracle), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            DiscretePair([1.0, 0.0], [0.0, 1.0]),
+            dominating_approx(PrivacyBudget(1.0, 1.0, 1.0)),
+        ],
+        ids=["disjoint", "dominating(1,1,1)"],
+    )
+    def test_one_sided_mass_of_one(self, pair):
+        # log1p(-1) is a domain error: the k-fold one-sided mass is 1
+        curve = oracle_compose(pair, 30)  # alphabet^30 is too large to enumerate
+        assert curve.vertices == [(0.0, 0.0), (1.0, 0.0)]
+        assert curve(np.linspace(0.0, 1.0, 11)).tolist() == [0.0] * 11
+        typed = oracle_compose(pair, 3, mode="typed")
+        assert typed == oracle_compose(pair, 3, mode="direct")
+
+    def test_auto_mode_takes_typed_mode_past_the_direct_limit(self, monkeypatch):
+        pair = dominating_approx(PrivacyBudget(0.5, 0.05, 0.2))
+        # 5 symbols: 5^11 > 10^7 outcomes, too many to enumerate
+        typed = oracle_compose(pair, 11, mode="typed")
+
+        def refuse(*args):
+            raise AssertionError("auto mode enumerated the product")
+
+        monkeypatch.setattr(composition, "_oracle_direct", refuse)
+        assert oracle_compose(pair, 11) == typed
+
+    def test_auto_mode_capacity_error(self):
+        rng = np.random.default_rng(0)
+        off_lattice = DiscretePair(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
+        with pytest.raises(CapacityError, match="not collapsible"):
+            oracle_compose(off_lattice, 20)
+        pair = dominating_pure(1.0, ETA_REF)
+        with pytest.raises(CapacityError, match="not collapsible"):
+            oracle_compose(pair, 10**4 + 1)
+
 
 class TestConvPower:
     # the typed oracle convolves only nonzero spans; a plain repeated
@@ -407,6 +443,47 @@ class TestLevelMassReference:
             for n, (a, b) in enumerate(zip(fast, slow)):
                 assert b > 0, n
                 assert abs(a / b - 1) <= mpmath.mpf("1e-35"), n
+
+
+class TestLedgerInvariant:
+    # ledgers built by hand go through the same delta check as composed ones
+    def test_delta_above_one(self):
+        entries = (LedgerEntry(0, 0.0, 1.5), LedgerEntry(1, 1.0, 0.0))
+        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            CompositionLedger(k=1, base=BUDGET_REF, entries=entries, composed_eta=0.3)
+
+    def test_rising_delta(self):
+        entries = (LedgerEntry(0, 0.0, 0.1), LedgerEntry(1, 1.0, 0.5))
+        with pytest.raises(ValidationError, match="non-increasing"):
+            CompositionLedger(k=1, base=BUDGET_REF, entries=entries, composed_eta=0.3)
+
+
+class TestCompositionAdmission:
+    def test_epsilon_zero_needs_eta_equal_to_delta(self):
+        # eta = delta + 5e-13 is within the budget's 1e-12 feasibility slack
+        budget = PrivacyBudget(0.0, 0.1, 0.1 + 5e-13)
+        for compose in (compose_exact, compose_types_approx):
+            with pytest.raises(ValidationError, match="epsilon = 0 composes only with eta = delta"):
+                compose(budget, 3)
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, math.nan, math.inf])
+    def test_k_must_be_a_whole_number_from_one(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            compose_exact(BUDGET_REF, k)
+
+    @pytest.mark.parametrize("k", [composition._MAX_STEPS + 1, 10**20, 10**399])
+    def test_k_beyond_the_largest_array_is_rejected_by_name(self, k):
+        # checked before anything is allocated
+        for compose in (
+            lambda: compose_exact(BUDGET_REF, k),
+            lambda: compose_kairouz(1.0, 0.0, k),
+            lambda: oracle_compose(dominating_pure(1.0, ETA_REF), k),
+        ):
+            with pytest.raises(ValueError, match=f"k must be at most {composition._MAX_STEPS}"):
+                compose()
+
+    def test_whole_float_k_is_accepted(self):
+        assert compose_exact(BUDGET_REF, 3.0) == compose_exact(BUDGET_REF, 3)
 
 
 class TestLedgerSerialization:

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tvdp
@@ -148,6 +148,13 @@ class TestCurveFromBudget:
         c = curve_from_budget(PrivacyBudget(1.0, 0.1, 0.4))
         assert c(0.0) == pytest.approx(0.9)
         assert c(1.0) == 0.0
+
+    def test_delta_one_leaves_the_floor_alone(self):
+        # every line's intercept is 0: the steep half is the floor f = 0,
+        # which is its own mirror
+        c = curve_from_budget(PrivacyBudget(1.0, 1.0, 1.0))
+        assert c.vertices == [(0.0, 0.0), (1.0, 0.0)]
+        assert c.tv() == 1.0 and c._symmetric
 
 
 class TestTvOfCurve:
@@ -880,6 +887,101 @@ def test_near_concave_curve_reads_delta_from_its_vertices():
         want = 1 - min(mpmath.mpf(t) + f for t, f in zip(xs, ys))
         assert abs(c.tv() - want) <= 4e-16
     assert delta_at_epsilon(c, math.inf) == 1.0 - 0.9
+
+
+# A curve given by its vertices keeps the lower convex hull of them as its
+# log form, so its lines are sorted steepest first as _profile needs, and
+# the view keeps every vertex.
+
+
+@st.composite
+def _vertex_curves(draw, bend):
+    """(xs, ys) of a curve from (0, f0) to (1, 0) whose slopes are sorted,
+    often tied, and then each scaled by up to ``bend`` either way."""
+    n = draw(st.integers(1, 8))
+    widths = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    ratios = draw(
+        st.lists(
+            st.one_of(st.just(1.0), st.floats(1.0, 10.0)), min_size=n - 1, max_size=n - 1
+        )
+    )
+    jitter = draw(st.lists(st.floats(-bend, bend), min_size=n, max_size=n))
+    flat = draw(st.integers(0, n - 1))  # segments at f = 0 before t = 1
+    magnitudes = np.cumprod([1.0] + ratios)[::-1] * (1.0 + np.array(jitter))
+    magnitudes[n - flat :] = 0.0
+    xs = np.append(0.0, np.cumsum(widths) / widths.sum())
+    xs[-1] = 1.0
+    drops = magnitudes * np.diff(xs)
+    f0 = draw(st.floats(0.01, 0.99))
+    ys = np.append(np.cumsum(drops[::-1])[::-1] * (f0 / drops.sum()), 0.0)
+    return xs, ys
+
+
+def _chord_log_form(xs, ys):
+    """The vertices' logs and the chords of the segments between them."""
+    with np.errstate(divide="ignore"):
+        lt, lf = np.log(xs), np.log(np.clip(ys, 0.0, 1.0))
+        lm = np.log(np.maximum(ys[:-1] - ys[1:], 0.0)) - np.log(np.diff(xs))
+    return lt, lf, lm, np.logaddexp(lf[:-1], lm + lt[:-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices=_vertex_curves(0.0))
+def test_unbent_vertex_curve_keeps_its_chord_log_form_bit_for_bit(vertices):
+    xs, ys = vertices
+    want = _chord_log_form(xs, ys)
+    lm = want[2]
+    assume(not (lm[1:] > lm[:-1]).any())
+    c = TradeoffCurve(xs, ys)
+    for name, arr in zip(("_lt", "_lf", "_lm", "_lb"), want):
+        assert getattr(c, name).tobytes() == arr.tobytes(), name
+    assert c.xs.tobytes() == xs.tobytes() and c.ys.tobytes() == ys.tobytes()
+
+
+def _vertex_profiles_mp(xs, ys, epsilon):
+    """40-digit max over the vertices of 1 - f - e^eps t and 1 - t - e^eps f."""
+    with mpmath.workdps(40):
+        scale = mpmath.exp(epsilon)
+        pts = [(mpmath.mpf(t), mpmath.mpf(f)) for t, f in zip(xs.tolist(), ys.tolist())]
+        return (
+            max(1 - f - scale * t for t, f in pts),
+            max(1 - t - scale * f for t, f in pts),
+        )
+
+
+def _reader_allowance(c):
+    """4e-16, plus 2^-52 times the largest |log slope| of the curve's lines
+    and the largest log(1 / (1 - e^-gap)) of two adjacent log slopes gap
+    apart: the reader holds each slope as the double of its log and weighs
+    the two lines around a tangent through the log of their slope gap, so
+    its absolute error grows with both."""
+    lm = c._lm[np.isfinite(c._lm)]
+    with np.errstate(divide="ignore"):
+        tie = -np.log(-np.expm1(np.diff(lm)))
+    return 4e-16 + 2**-52 * (np.abs(lm).max(initial=0.0) + tie.max(initial=0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertices=_vertex_curves(curves.GEOM_TOL / 4), extra=st.floats(-5.0, 5.0))
+def test_bent_vertex_curve_reads_the_least_delta_over_its_vertices(vertices, extra):
+    xs, ys = vertices
+    c = TradeoffCurve(xs, ys)
+    assert not (c._lm[1:] > c._lm[:-1]).any()
+    assert c.xs.tobytes() == xs.tobytes() and c.ys.tobytes() == ys.tobytes()
+    # tangents at and next to every chord slope, of the curve and its mirror
+    with np.errstate(divide="ignore"):
+        chord = np.log(-np.diff(ys) / np.diff(xs))
+    chord = chord[np.isfinite(chord)]
+    epsilons = [0.0, extra]
+    for e in np.concatenate((chord, -chord)).tolist():
+        epsilons += [e, e * (1 - 1e-10), e * (1 + 1e-10), e - 1e-10, e + 1e-10]
+    mirror = c.mirror()
+    for e in epsilons:
+        want, want_mirror = _vertex_profiles_mp(xs, ys, e)
+        assert abs(curves._profile(c, e) - want) <= _reader_allowance(c), e
+        assert abs(curves._profile(mirror, e) - want_mirror) <= _reader_allowance(mirror), e
+    want = _vertex_profiles_mp(xs, ys, 0.0)[0]
+    assert abs(c.tv() - want) <= _reader_allowance(c)
 
 
 def test_symmetry_flag_marks_the_curves_built_as_mirror_images():

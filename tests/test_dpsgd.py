@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,13 +28,17 @@ from tvdp import (
     strict_improvement,
     sup_norm,
 )
-from tvdp.composition import _entries_to_curve
 from tvdp.curves import TradeoffCurve, _gaps
 from tvdp.dpsgd import _refined_region
 
 MU = 1 / 1.3
 # the 30-point grid of the C12 run shape
 C12_GRID = tuple(round(0.5 + 0.1 * i, 12) for i in range(30))
+
+
+def _merged_entries_curve(ledgers):
+    """``ledger_to_curve`` of the entries of all the ledgers together."""
+    return ledger_to_curve(SimpleNamespace(entries=[e for led in ledgers for e in led.entries]))
 
 
 def small_config(grid=(0.5, 1.0, 2.0)):
@@ -221,8 +226,7 @@ class TestOrderOfIntersection:
             compose_types_approx(step_budget(cfg.step_mu, e), cfg.steps)
             for e in cfg.epsilon_grid
         ]
-        merged_entries = tuple(e for led in ledgers for e in led.entries)
-        combined = _entries_to_curve(merged_entries)
+        combined = _merged_entries_curve(ledgers)
         region = sgd_region(cfg)
         for name in ("_lt", "_lf", "_lm", "_lb"):
             assert getattr(region, name).tobytes() == getattr(combined, name).tobytes()
@@ -256,7 +260,7 @@ class TestColumnPathMatchesLedgers:
             compose_types_approx(step_budget(config.step_mu, r["epsilon"]), config.steps)
             for r in records
         ]
-        expected = _entries_to_curve(tuple(e for led in ledgers for e in led.entries))
+        expected = _merged_entries_curve(ledgers)
         for name in ("_lt", "_lf", "_lm", "_lb"):
             assert np.array_equal(getattr(region, name), getattr(expected, name))
         # and the intersection of the ledger curves, at every vertex of either
