@@ -350,6 +350,11 @@ def _hands_over_first(takes_over, hands_over):
     return takes_over >= hands_over - _SAME_LOG_T * (1.0 + np.abs(hands_over))
 
 
+def _same_log_t(a: float, b: float) -> bool:
+    """Whether two log t lie within the rounding level of each other."""
+    return abs(a - b) <= _SAME_LOG_T * (1.0 + abs(b))
+
+
 def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> TradeoffCurve:
     """Upper envelope over [0, 1] of the lines f = e^lb - e^lm t and f = 0,
     or with ``symmetric``, of lines with lm >= 0, their mirrors and f = 0.
@@ -497,6 +502,14 @@ def _mirrored_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> Tradeo
     diagonal = lb - np.logaddexp(0.0, lm)
     # the floor, last on the hull, meets the diagonal at -inf and always goes
     n = 1 + int(_hands_over_first(cross, diagonal[1:]).argmax())
+    # A slope -1 line that meets the diagonal where the line before it does,
+    # to within rounding, is a middle segment of zero length there, whether
+    # the cut took it or left it.  Their diagonal points are compared: the
+    # crossing of lines whose slopes are close is not precise enough to tell.
+    z = n - int(lm[n] != 0.0)
+    touch = z > 0 and lm[z] == 0.0 and _same_log_t(diagonal[z], diagonal[z - 1])
+    if touch:
+        n = z + 1
     lm, lb = lm[:n], lb[:n]
     steep = n - int(lm[-1] == 0.0)  # lines of slope below -1
     half = steep + 1  # vertices up to the middle segment or the diagonal
@@ -505,6 +518,8 @@ def _mirrored_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> Tradeo
     lt[0], lf[0] = -np.inf, lb[0]
     lt[1:n] = cross[: n - 1]
     lf[1:n] = _crossing_log_f(lm, lb)
+    if touch:
+        lt[n - 1] = lf[n - 1] = diagonal[n - 2]
     lt[n:half] = lf[n:half] = diagonal[n - 1]  # no middle segment: end on the diagonal
     _clip_log_f(lt[:half], lf[:half])
     lt[half : half + n] = lf[n - 1 :: -1]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -670,14 +671,18 @@ def _assert_self_mirror(curve):
 
 def _assert_symmetric_build(curve, lm, lb):
     """``curve`` is flagged, its own mirror, and its steep half (lm > 0, and
-    the vertex ending it where a middle segment follows) is bit for bit
-    that of the envelope of the lines (lm, lb) and their mirrors."""
+    the vertex ending it where a middle segment of positive length follows)
+    is bit for bit that of the envelope of the lines (lm, lb) and their
+    mirrors.  A middle segment of zero length, a slope -1 line that takes
+    over on the diagonal, is one the reference drops as a rounding-level
+    lead; its vertex is then the diagonal one, as where no middle follows."""
     assert curve._symmetric
     _assert_self_mirror(curve)
     want = _reference_envelope(*_with_mirrors(lm, lb))
     steep = int(np.count_nonzero(curve._lm > 0.0))
     assert steep == np.count_nonzero(want[0] > 0.0)
-    ends = steep + int(steep < curve._lm.size and curve._lm[steep] == 0.0)
+    middle = steep < curve._lm.size and curve._lm[steep] == 0.0
+    ends = steep + int(middle and curve._lt[steep] < curve._lt[steep + 1])
     for name, got, ref in zip(("lm", "lb"), (curve._lm, curve._lb), want[:2]):
         assert got[:steep].tobytes() == ref[:steep].tobytes(), name
     for name, got, ref in zip(("lt", "lf"), (curve._lt, curve._lf), want[2:]):
@@ -756,6 +761,31 @@ def test_ledger_curve_profile_returns_every_delta(eps, delta, frac, k, kind):
         assert curve.tv() == pytest.approx(ledger.composed_eta, rel=4e-15)
     else:
         assert curve.tv() == ledger.composed_eta
+
+
+def test_tv_at_the_cap_reads_the_slope_minus_one_line_at_odd_k():
+    # At eta = cap (alpha = 0) and odd k the j = 0 line of slope -1 takes
+    # over on the diagonal, where the j = 1 line meets its mirror.  It stays
+    # as a middle segment of zero length, so tv() is -expm1 of its
+    # intercept, as composed_eta is; the mix of the j = 1 line and its
+    # mirror read one ulp off in cases like the first.
+    b = PrivacyBudget(0.375, 0.0, tv_feasibility_cap(0.375, 0.0))
+    ledger = tvdp.compose_exact(b, 251)
+    assert tvdp.ledger_to_curve(ledger).tv() == ledger.composed_eta == 0.9969720311455457
+    rng = random.Random(19)
+    cases = [(0.057, 1e-6, 861), (0.006, 1e-12, 847), (0.156, 0.0, 919), (0.245, 1e-6, 23)]
+    cases += [
+        (round(rng.uniform(1e-3, 4.0), 3), rng.choice([0.0, 1e-12, 1e-6]), k)
+        for k in [rng.randrange(1, 1000, 2) for _ in range(36)]
+        + [rng.randrange(1, 10**4, 2) for _ in range(4)]
+    ]
+    for eps, delta, k in cases:
+        b = PrivacyBudget(eps, delta, tv_feasibility_cap(eps, delta))
+        ledger = tvdp.compose_exact(b, k)
+        curve = tvdp.ledger_to_curve(ledger)
+        assert curve.tv() == ledger.composed_eta, (eps, delta, k)
+        middle = np.flatnonzero(curve._lm == 0.0)
+        assert middle.size == 1, (eps, delta, k)
 
 
 def test_deep_ledger_delta_reads_back():
