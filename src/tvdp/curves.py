@@ -325,8 +325,9 @@ class TradeoffCurve:
         return hash((self.xs.tobytes(), self.ys.tobytes()))
 
 
-def _crossing(lm_i, lb_i, lm_j, lb_j) -> np.ndarray:
-    """log t at which each line i hands over to its flatter line j.
+def _crossing(lm_i, lb_i, lm_j, lb_j):
+    """(log t at which each line i hands over to its flatter line j, and
+    log(1 - e^(lm_j - lm_i)), the log of their slope gap over m_i).
 
     Needs lm_j < lm_i and lb_j < lb_i elementwise; the crossing is
     (b_i - b_j) / (m_i - m_j), written without cancellation.
@@ -334,12 +335,13 @@ def _crossing(lm_i, lb_i, lm_j, lb_j) -> np.ndarray:
     # slopes more than DBL_MAX apart overflow their log gap to -inf, the
     # exact limit here (_log1mexp(-inf) = 0), so the envelope ignores that
     # overflow
-    return lb_i + _log1mexp(lb_j - lb_i) - lm_i - _log1mexp(lm_j - lm_i)
+    gap = _log1mexp(lm_j - lm_i)
+    return lb_i + _log1mexp(lb_j - lb_i) - lm_i - gap, gap
 
 
-def _crossings(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log t at which each line hands over to the next, flatter one
-    (lm and lb strictly decreasing along the list)."""
+def _crossings(lm: np.ndarray, lb: np.ndarray):
+    """``_crossing`` of each line and the next, flatter one (lm and lb
+    strictly decreasing along the list)."""
     return _crossing(lm[:-1], lb[:-1], lm[1:], lb[1:])
 
 
@@ -372,7 +374,9 @@ def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> Trad
     test at once (a line below the maximum of its two neighbours is below
     the envelope of the rest), until none does; a pass that finds such a
     line drops it, so the passes end.  The crossings are computed once; a
-    pass recomputes only those of the pairs its drops made adjacent.
+    pass recomputes only those of the pairs its drops made adjacent, and the
+log slope gaps of the pairs (see ``_crossing``) go on to give the log f of
+the hull's vertices.
     Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).  The hull becomes a curve
     in ``_hull_curve``, or with ``symmetric`` in ``_mirrored_curve``.
@@ -392,7 +396,7 @@ def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> Trad
     # rounding allowance of _hands_over_first and of the mirrored
     # intercepts lb - lm of _mirrored_curve.
     with np.errstate(over="ignore"):
-        cross = _crossings(lm, lb)
+        cross, gap = _crossings(lm, lb)
         hidden = _hands_over_first(cross[:-1], cross[1:])
         while hidden.any():
             keep = np.ones(lm.size, dtype=bool)
@@ -400,12 +404,15 @@ def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> Trad
             lm = lm[keep]
             lb = lb[keep]
             cross = cross[keep[:-1]]
+            gap = gap[keep[:-1]]
             fresh = np.flatnonzero(hidden[keep[:-2]])  # kept lines whose successor went
-            cross[fresh] = _crossing(lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1])
+            cross[fresh], gap[fresh] = _crossing(
+                lm[fresh], lb[fresh], lm[fresh + 1], lb[fresh + 1]
+            )
             hidden = _hands_over_first(cross[:-1], cross[1:])
         if symmetric:
-            return _mirrored_curve(lm, lb, cross)
-    return _hull_curve(lm, lb, cross)
+            return _mirrored_curve(lm, lb, cross, gap)
+    return _hull_curve(lm, lb, cross, gap)
 
 
 def _candidate_lines(lm: np.ndarray, lb: np.ndarray):
@@ -448,29 +455,31 @@ def _laid_out(lines) -> np.ndarray:
     return np.concatenate([np.ravel(p) for p in parts] + [[-np.inf]], dtype=float)
 
 
-def _hull_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCurve:
-    """The curve of one envelope from its hull lines and their crossings."""
+def _hull_curve(
+    lm: np.ndarray, lb: np.ndarray, cross: np.ndarray, gap: np.ndarray
+) -> TradeoffCurve:
+    """The curve of one envelope from its hull lines, their crossings and
+    their log slope gaps."""
     # Lines that take over only at t >= 1 are outside the curve (the
     # crossings increase along the hull).
     n = 1 + int(np.count_nonzero(cross < 0.0))
     lm, lb, cross = lm[:n], lb[:n], cross[: n - 1]
     end = np.exp(lb[-1]) - np.exp(lm[-1])
     lt = np.concatenate(([-np.inf], cross, [0.0]))
-    lf = np.concatenate(([lb[0]], _crossing_log_f(lm, lb), [_log(max(end, 0.0))]))
+    lf = np.concatenate(([lb[0]], _crossing_log_f(lm, lb, gap), [_log(max(end, 0.0))]))
     _clip_log_f(lt, lf)
     return TradeoffCurve._from_log(lt, lf, lm, lb)
 
 
-def _crossing_log_f(lm: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log f at the crossing of each hull line with the next."""
+def _crossing_log_f(lm: np.ndarray, lb: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """log f at the crossing of each hull line with the next, given the log
+    slope gaps of the pairs (``_crossing``)."""
     # f at the crossing of lines i and j: (b_j m_i - b_i m_j) / (m_i - m_j).
     # As in _crossings, a slope gap that overflows to -inf is the exact limit.
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.minimum(lb[:-1] - lb[1:] + lm[1:] - lm[:-1], 0.0)
         return np.where(
-            lb[1:] == -np.inf,
-            -np.inf,
-            lb[1:] + _log1mexp(spread) - _log1mexp(lm[1:] - lm[:-1]),
+            lb[1:] == -np.inf, -np.inf, lb[1:] + _log1mexp(spread) - gap[: lm.size - 1]
         )
 
 
@@ -481,9 +490,11 @@ def _clip_log_f(lt: np.ndarray, lf: np.ndarray) -> None:
         raise ValidationError("curve must satisfy f(x) <= 1 - x")
 
 
-def _mirrored_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> TradeoffCurve:
+def _mirrored_curve(
+    lm: np.ndarray, lb: np.ndarray, cross: np.ndarray, gap: np.ndarray
+) -> TradeoffCurve:
     """The symmetric curve whose steep half is the hull of lines with
-    lm >= 0 (and the floor), given with their crossings.
+    lm >= 0 (and the floor), given with their crossings and log slope gaps.
 
     Line i meets the diagonal f = t at log t = lb - log(1 + e^lm).  A line
     that takes over no earlier than that is past the diagonal, where the
@@ -517,7 +528,7 @@ def _mirrored_curve(lm: np.ndarray, lb: np.ndarray, cross: np.ndarray) -> Tradeo
     lt, lf = np.empty(half + n + floor), np.empty(half + n + floor)
     lt[0], lf[0] = -np.inf, lb[0]
     lt[1:n] = cross[: n - 1]
-    lf[1:n] = _crossing_log_f(lm, lb)
+    lf[1:n] = _crossing_log_f(lm, lb, gap)
     if touch:
         lt[n - 1] = lf[n - 1] = diagonal[n - 2]
     lt[n:half] = lf[n:half] = diagonal[n - 1]  # no middle segment: end on the diagonal
