@@ -491,7 +491,7 @@ README_EXAMPLES = [
     ("compose", ["compose", "--eps", "1", "--delta", "0", "--eta", "0.323482", "-k", "8"],
      "980a338e42791080242464602581fe49a8e1308e77300958bb968a401dc1ac2c"),
     ("compose-types", ["compose", "--eps", "1", "--eta", "0.3", "-k", "2000", "--mode", "types"],
-     "c843065afc438659ede8a967f799c3cbb9c9731dac24266be7d11b2e1c468efd"),
+     "2a631547006429fbc8ee6d7e8628d735555020d51e61c138a716386314ded50b"),
     ("compose-kairouz", ["compose", "--eps", "1", "--delta", "0", "-k", "8", "--baseline", "kairouz"],
      "e670d29e52f712db2333c9ec76f1f1d6bfa357ef605ee8308cce0d2442e4ebcc"),
     ("amplify", ["amplify", "--eps", "1", "--delta", "0", "--eta", "0.323482", "-p", "0.1"],
@@ -516,14 +516,14 @@ README_EXAMPLES = [
      "c5463276a07351eb06e84e034d93b1f7209525002a8f5beee83139349864ccc5"),
     ("sgd-csv", ["sgd", "--n", "60000", "--batch", "256", "--epochs", "15", "--mu", "0.7692307692",
                  "--eps-from", "0.5", "--eps-to", "3.4", "--eps-step", "0.1", "--out", "csv"],
-     "84ea55216a4a3a9e87c7d1e240cc751de42d35be46006b50a2388ff6040394bd"),
+     "151eb3400c30f43b03bc8b236398b4c79879c1887205e01344f7c8e397fb1e34"),
 ]
 # The README sgd run as JSON, plain and with the baseline curve, with the
 # sha256 of its stdout.
 SGD_JSON_EXAMPLES = [
-    ("plain", [], "abdd439d7c4ce9554913e7c03e664dacff5edef88d2fec2df03591759db9c462"),
+    ("plain", [], "108295cb82840b7ca395e1fb0e17182848090593c8512934e517ebed304175bb"),
     ("full-curves", ["--full-curves"],
-     "3f255ab768cd49e4648908c770f05c0b265a8e5e45dc56951d883e055793c1a8"),
+     "e23f1a426d84a7b27ee7fd4d85044e905ba006a11edbb88071626ebe5ac03b8e"),
 ]
 # The examples that need a special function (Phi for the Gaussian profile,
 # Phi and its inverse for G_mu) and so load scipy.special.

@@ -39,6 +39,8 @@ from tvdp import (
 )
 from tvdp import composition
 from tvdp.composition import _conv_power, _grid_columns
+from tvdp.dpsgd import _step_budget
+from tvdp.mechanisms import gaussian_delta, gaussian_tv
 
 
 E = math.e
@@ -350,6 +352,11 @@ class TestTypesApprox:
         assert led.composed_eta == 1.0
 
 
+def _bench_row(budget):
+    """The kernel row of a budget at the bench's 879 steps, as a spec."""
+    return DominatingSpec(budget.epsilon, 0.0, composition._composable_alpha(budget, 879))
+
+
 class TestPrecisionAgainstMpmath:
     # every delta_j < 1/2 and every 1 - delta_j < 1/2 within
     # 4e-16 k (1 + ln k) relative of a 40-digit reference
@@ -368,6 +375,15 @@ class TestPrecisionAgainstMpmath:
             (DominatingSpec(1.0, 0.0, 5e-324), 200),
             (PrivacyBudget(1.0, 0.0, 0.3), 3516),  # the C12 step count
             (PrivacyBudget(1.0, 0.0, 0.3), 10_000),
+            # the kernel rows of the bench's k = 879 grids: step budgets at
+            # mu = 0.75, one with eta clamped to the cap (alpha = 0) as
+            # _step_budget clamps a TV above it, and TV-blind baseline rows
+            # (alpha = 0); delta = 0 leaves out the wrapper
+            (_bench_row(_step_budget(0.5, gaussian_delta(0.75, 0.5), gaussian_tv(0.75))), 879),
+            (_bench_row(_step_budget(3.4, gaussian_delta(0.75, 3.4), gaussian_tv(0.75))), 879),
+            (_bench_row(_step_budget(2.0, gaussian_delta(0.75, 2.0), 1.0)), 879),
+            (_bench_row(PrivacyBudget.from_dp(1.0, gaussian_delta(0.75, 1.0))), 879),
+            (_bench_row(PrivacyBudget.from_dp(3.4, gaussian_delta(0.75, 3.4))), 879),
         ],
     )
     def test_relative_error(self, budget, k):
@@ -559,12 +575,12 @@ def _reference_grid_columns(k, eps, delta, alpha, levels=slice(None)):
     tilt = np.arange(1, k + 1) * col
     above = np.full((eps.size, k + 1), -np.inf)
     tail = (log_w[:, k + 1 :] - tilt)[:, ::-1]
-    above[:, :k] = np.logaddexp.accumulate(tail, axis=1)[:, ::-1]
+    above[:, :k] = composition._log_cumsum(tail, k)[:, ::-1]
     above[:, :k] += tilt
     with np.errstate(divide="ignore"):
         log_gap = np.log(-np.expm1(-col))
-    log_delta = log_gap + np.logaddexp.accumulate(above[:, ::-1], axis=1)[:, ::-1]
-    log_keep = np.logaddexp(np.logaddexp.accumulate(log_w, axis=1)[:, k:], above - col)
+    log_delta = log_gap + composition._log_cumsum(above[:, ::-1], k)[:, ::-1]
+    log_keep = np.logaddexp(composition._log_cumsum(log_w, k)[:, k:], above - col)
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(
             log_delta < -math.log(2.0), np.log1p(-np.exp(log_delta)), log_keep
@@ -610,6 +626,80 @@ def test_grid_columns_match_full_width_tail_sums(rows, k, kairouz):
     for a, b in zip(got[:3], want[:3]):
         assert a.tobytes() == b.tobytes()
     assert [x.hex() for x in got[3]] == [x.hex() for x in want[3]]
+
+
+# From _BLOCKS_FROM steps on, _log_cumsum sums blocks of _BLOCK columns in
+# linear space; the log-space scan it replaced there is kept here as a
+# reference, and fewer steps still run it.  The rows are logs of numbers up
+# to 1, as the tail sums take, with every kind of -inf they meet.
+
+_ULP = 2.0**-52
+_BLOCK = composition._BLOCK
+_BLOCKED = composition._BLOCKS_FROM  # a step count that sums in blocks
+
+
+def _log_cumsum_reference(v):
+    return np.logaddexp.accumulate(v, axis=1)
+
+
+def _log_cumsum_mp(row):
+    """The running log-sum-exp of one row at 40 digits, rounded to doubles."""
+    with mpmath.workdps(40):
+        total, out = mpmath.mpf(0), []
+        for x in row.tolist():
+            if x > -math.inf:
+                total += mpmath.exp(x)
+            out.append(float(mpmath.log(total)) if total else -math.inf)
+    return np.array(out)
+
+
+def _log_cumsum_rows(n, rng):
+    x = np.arange(n)
+    return np.array(
+        [
+            np.minimum(-0.002 * (x - n / 3.0) ** 2 + rng.normal(-1.0, 0.5, n), 0.0),
+            -np.abs(rng.normal(0.0, 3.0, n)).cumsum()[::-1],  # rising
+            -np.abs(rng.normal(0.0, 3.0, n)).cumsum(),  # falling
+            -np.abs(rng.normal(0.0, 50.0, n)),  # rough
+            np.where(x % 2, -np.inf, -0.001 * (x - n / 2.0) ** 2),  # as at alpha = 0
+            np.where(x < n // 3, -np.inf, rng.normal(-5.0, 1.0, n)),  # leading -inf
+            np.full(n, -np.inf),
+            30.0 * (x - n),  # each block too steep for one scale
+            -30.0 * x,  # steep the other way, which one scale holds
+            np.where(x < n // 2, -1e308, -1e-300) * rng.random(n),  # extremes
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200, 1000])
+def test_log_cumsum_in_blocks_matches_mpmath_and_the_log_space_scan(n):
+    rows = _log_cumsum_rows(n, np.random.default_rng(n))
+    blocks = rows[7, : n // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
+    assert (blocks[:, 0] < blocks.max(axis=1) - composition._STEEP).all()
+    got = composition._log_cumsum(rows, _BLOCKED)
+    ref = _log_cumsum_reference(rows)
+    for i, (row, blocked, scan) in enumerate(zip(rows, got, ref)):
+        want = _log_cumsum_mp(row)
+        assert np.array_equal(blocked == -np.inf, want == -np.inf), i
+        seen = want > -np.inf
+        ulps = _ULP * np.maximum(1.0, np.abs(want[seen]))
+        assert (np.abs(blocked[seen] - want[seen]) <= 4 * ulps).all(), i
+        assert (np.abs(blocked[seen] - scan[seen]) <= 16 * ulps).all(), i
+
+
+def test_log_cumsum_rows_and_leading_blocks_stand_alone():
+    # what grid rows equal to single builds and the narrowed sum of
+    # 1 - delta_j equal to the full-width one rest on, bit for bit
+    rows = _log_cumsum_rows(1000, np.random.default_rng(0))
+    got = composition._log_cumsum(rows, _BLOCKED)
+    for i, row in enumerate(rows):
+        assert composition._log_cumsum(row[None], _BLOCKED).tobytes() == got[i].tobytes()
+    for width in (_BLOCK, 5 * _BLOCK):
+        lead = composition._log_cumsum(rows[:, :width], _BLOCKED)
+        assert lead.tobytes() == got[:, :width].tobytes()
+    # fewer steps keep the log-space scan
+    below = composition._log_cumsum(rows, _BLOCKED - 1)
+    assert below.tobytes() == _log_cumsum_reference(rows).tobytes()
 
 
 # Rows for the level-mass kernel: budgets with 0 < alpha < 1, on both sides

@@ -345,15 +345,17 @@ def test_grid_errors_at_each_tol_keep_grid_order(grid, tol, errors):
 
 
 # sha256 of the full report: the README examples pin 12 digits, these pin
-# every bit of the curves, deltas and records at the C12 run shape
+# every bit of the curves, deltas and records at the C12 run shape (the ids
+# leave the digests out, so that a re-pin keeps the test names)
 @pytest.mark.parametrize(
     "batch, mu, digest",
     [
-        (1024, 0.6, "1af062268bf7d95a80e4d556cff2645f0d170f18b1a10ce6d7130e4dd8213f0f"),
-        (1024, 0.75, "ca1b199c6572047f6cf2ae5c27e925f5c29c364bd0ba62ea8177463274addb4f"),
-        (1024, 0.871942, "c7446a272ab884c177f42cc66ed45ef61c34390c2ce9358e19025e0d241b155b"),
-        (256, 0.7692307692, "135107f0a6f694530e11b19f39fef2297b8d150492324f62aeadd5794f863b0a"),
+        (1024, 0.6, "0a24618b998f1cc5b0c630f3270ce4b9060764ae711ac41a80799a6bf1c5ef15"),
+        (1024, 0.75, "3016f0e03018eec39528ecc08554abdc9cef1983f22ca2fad0594310018864ca"),
+        (1024, 0.871942, "ae4039e8fb69d48dbba01aa379d6a684acf0a301e98698b43b8cbdfe4be57d62"),
+        (256, 0.7692307692, "a2363841dc93823530c328945995e47602f84121b23b63c9f7234bd812078600"),
     ],
+    ids=["1024-0.6", "1024-0.75", "1024-0.871942", "256-0.7692307692"],
 )
 def test_sgd_compare_report_is_pinned_bit_for_bit(batch, mu, digest):
     config = SgdConfig(60_000, batch, 15.0, mu, C12_GRID)
