@@ -375,8 +375,8 @@ def _upper_envelope(log_slopes, log_intercepts, symmetric: bool = False) -> Trad
     the envelope of the rest), until none does; a pass that finds such a
     line drops it, so the passes end.  The crossings are computed once; a
     pass recomputes only those of the pairs its drops made adjacent, and the
-log slope gaps of the pairs (see ``_crossing``) go on to give the log f of
-the hull's vertices.
+    log slope gaps of the pairs (see ``_crossing``) go on to give the log f
+    of the hull's vertices.
     Callers must supply a line family whose envelope is a valid curve
     (bounded by 1 - t, enforced by validation).  The hull becomes a curve
     in ``_hull_curve``, or with ``symmetric`` in ``_mirrored_curve``.
@@ -501,8 +501,9 @@ def _mirrored_curve(
     mirrored lines lead, so it goes, and every flatter line with it (a lead
     over a rounding-level width counts as none, as in the envelope).  If
     the last line left has slope -1, it is its own mirror and is the middle
-    segment; otherwise the mirror of the last line takes over from it on
-    the diagonal.  The flat half is the steep half reversed, with vertices
+    segment, of zero length where it meets the diagonal where the line
+    before it does (as at the TV cap); otherwise the mirror of the last
+    line takes over from it on the diagonal.  The flat half is the steep half reversed, with vertices
     (lt, lf) -> (lf, lt) and lines (lm, lb) -> (-lm, lb - lm).  A curve
     that starts below 1 at t = 0 ends with the floor f = 0, the mirror of
     its drop at t = 0.  Runs under the envelope's overflow guard.
